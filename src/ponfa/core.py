@@ -135,9 +135,10 @@ class Automaton:
         return self.transitions.get((state, symbol), EMPTY)
 
     def move(self, subset: Iterable[str], symbol: str) -> frozenset[str]:
+        cell = self.transitions.get
         out: set[str] = set()
         for q in subset:
-            out |= self.step(q, symbol)
+            out |= cell((q, symbol), EMPTY)
         return frozenset(out)
 
     def self_loop_symbols(self, state: str) -> frozenset[str]:

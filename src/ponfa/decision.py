@@ -1,38 +1,46 @@
 """Universality, inclusion and equivalence with pluggable strategies.
 
-Three engines are available:
+Every question is an inclusion L(left) ⊆ L(right): universality of an
+automaton is the inclusion of Σ* in it, and equivalence is inclusion
+both ways.  Three engines decide an inclusion:
 
 * ``GENERIC``         on-the-fly subset construction with breadth-first
-                      search; witnesses are shortest, ties broken by
-                      alphabet order.
+                      search for a word accepted on the left and
+                      rejected on the right; for universality the search
+                      runs over subsets of the right side alone.
 * ``UNARY_PO``        for single-letter partially ordered automata the
                       only information in a word is its length, and a
                       short prefix of lengths decides everything.
-* ``RPONFA_BOUNDED``  for self-loop-deterministic partially ordered
-                      automata the language is a union of
+* ``RPONFA_BOUNDED``  for a self-loop-deterministic partially ordered
+                      right side the language is a union of
                       prefix-k-equivalence classes for k equal to the
                       completed automaton's depth, so it suffices to
                       inspect the finitely many shortest class
-                      representatives.
+                      representatives: a rejected class that meets the
+                      left language yields its shortest member there.
 
-``AUTO`` picks the most specific engine that applies, falling back to
-``GENERIC`` (with a logged warning) when the representative bound of
-the specialised engine exceeds the configured budget.
+``AUTO`` has one rule for both questions: ``UNARY_PO`` when both sides
+are unary and partially ordered, else ``RPONFA_BOUNDED`` when the right
+side qualifies and its representative bound is within the budget, else
+``GENERIC``.  A bound beyond the budget, also one beyond a machine word,
+makes it fall back to ``GENERIC`` with a logged warning.  The witness
+searches of ``GENERIC`` and of the class products share one core,
+``ops.shortest_word``.
 """
 
 from __future__ import annotations
 
 import logging
-import math
 from enum import Enum
 from typing import Optional
 
-from .core import (Automaton, CapacityError, Decision, Word, classify,
+from .core import (Automaton, CapacityError, Decision, accepts, classify,
                    complete_automaton, depth)
-from .ops import DEFAULT_SUBSET_LIMIT, is_empty, product_intersection
-from .subseq import (class_dfa, enumerate_minimal_representatives,
+from .ops import (DEFAULT_SUBSET_LIMIT, is_empty, product_intersection,
+                  shortest_word)
+from .subseq import (MACHINE_WORD_MAX, class_dfa,
+                     enumerate_minimal_representatives,
                      max_representative_length)
-from .core import accepts
 
 logger = logging.getLogger(__name__)
 
@@ -56,27 +64,70 @@ def _as_strategy(value: "Strategy | str") -> Strategy:
 def _absorbing_accepting(a: Automaton) -> frozenset[str]:
     """Accepting states that persist under every symbol.  A subset
     containing one can never lead to a rejected word, which prunes the
-    universality search without affecting shortest witnesses."""
+    search without affecting shortest witnesses."""
     return frozenset(q for q in a.accepting
                      if all(q in a.step(q, sym) for sym in a.alphabet))
 
 
-def _bounded_bound(a: Automaton) -> int:
-    """Representative length bound for the class-based engine."""
-    completed = complete_automaton(a)
-    k = depth(completed)
-    if math.comb(k + len(a.alphabet), k) - 1 > 2**63 - 1:
-        raise CapacityError("representative bound exceeds the machine word")
-    return k
+def _class_bound(a: Automaton) -> tuple[int, int]:
+    """Class depth k of the bounded engine and the length bound of its
+    representatives, as an exact integer."""
+    k = depth(complete_automaton(a))
+    return k, max_representative_length(k, len(a.alphabet))
 
 
-def _is_rponfa(a: Automaton) -> bool:
-    flags = classify(a)
-    return flags.is_partially_ordered and flags.is_self_loop_deterministic
+def _sigma_star(alphabet: tuple[str, ...]) -> Automaton:
+    return Automaton(alphabet, ("all",), ["all"], ["all"],
+                     {("all", sym): ["all"] for sym in alphabet})
 
 
-def _is_unary_po(a: Automaton) -> bool:
-    return len(a.alphabet) == 1 and classify(a).is_partially_ordered
+def _choose(strategy: Strategy, left: Optional[Automaton], right: Automaton,
+            bound_budget: int) -> Strategy:
+    """The engine for L(left) ⊆ L(right), ``left`` None standing for Σ*.
+
+    Classifies each side at most once.  An explicit engine is checked
+    against its requirements; ``AUTO`` applies the rule in the module
+    docstring.
+    """
+    if strategy is Strategy.GENERIC:
+        return strategy
+    flags = classify(right)
+    if strategy in (Strategy.AUTO, Strategy.UNARY_PO):
+        if (len(right.alphabet) == 1 and flags.is_partially_ordered
+                and (left is None or classify(left).is_partially_ordered)):
+            return Strategy.UNARY_PO
+        if strategy is Strategy.UNARY_PO:
+            raise ValueError("the unary engine requires unary partially "
+                             "ordered automata")
+    if not (flags.is_partially_ordered and flags.is_self_loop_deterministic):
+        if strategy is Strategy.RPONFA_BOUNDED:
+            raise ValueError("the bounded engine requires the right-hand "
+                             "automaton to be partially ordered with "
+                             "deterministic self-loops")
+        return Strategy.GENERIC
+    if strategy is Strategy.RPONFA_BOUNDED:
+        return strategy
+    _, bound = _class_bound(right)
+    if bound <= bound_budget:
+        return Strategy.RPONFA_BOUNDED
+    logger.warning("representative bound %d exceeds budget %d; "
+                   "falling back to the generic engine", bound, bound_budget)
+    return Strategy.GENERIC
+
+
+def _decide(left: Optional[Automaton], right: Automaton,
+            strategy: "Strategy | str", max_nodes: int, bound_budget: int,
+            max_representatives: int) -> Decision:
+    """Is L(left) ⊆ L(right)?  ``left`` None stands for Σ* over the
+    alphabet of ``right``."""
+    engine = _choose(_as_strategy(strategy), left, right, bound_budget)
+    if engine is Strategy.GENERIC:
+        return _includes_generic(left, right, max_nodes)
+    if left is None:
+        left = _sigma_star(right.alphabet)
+    if engine is Strategy.UNARY_PO:
+        return _includes_unary(left, right)
+    return _includes_bounded(left, right, max_representatives)
 
 
 def is_universal(a: Automaton, strategy: "Strategy | str" = Strategy.AUTO,
@@ -86,101 +137,13 @@ def is_universal(a: Automaton, strategy: "Strategy | str" = Strategy.AUTO,
                  ) -> Decision:
     """Does the automaton accept every word over its alphabet?
 
-    The witness of a negative answer is a shortest rejected word under
-    the generic and unary engines; under the bounded engine it is the
-    first rejected class representative, which is also shortest
-    because representatives are the shortest members of their classes.
+    Decided as the inclusion of Σ* in ``a``.  The witness of a negative
+    answer is a shortest rejected word, ties broken by alphabet order,
+    under every engine: the bounded engine's first rejected class
+    representative is the unique shortest member of its class.
     """
-    strategy = _as_strategy(strategy)
-    if strategy is Strategy.AUTO:
-        if _is_unary_po(a):
-            strategy = Strategy.UNARY_PO
-        elif _is_rponfa(a):
-            k = _bounded_bound(a)
-            if max_representative_length(k, len(a.alphabet)) <= bound_budget:
-                strategy = Strategy.RPONFA_BOUNDED
-            else:
-                logger.warning(
-                    "representative bound %d exceeds budget %d; "
-                    "falling back to the generic engine",
-                    max_representative_length(k, len(a.alphabet)), bound_budget)
-                strategy = Strategy.GENERIC
-        else:
-            strategy = Strategy.GENERIC
-    if strategy is Strategy.UNARY_PO:
-        return _universal_unary(a)
-    if strategy is Strategy.RPONFA_BOUNDED:
-        return _universal_bounded(a, max_representatives)
-    return _universal_generic(a, max_nodes)
-
-
-def _universal_generic(a: Automaton, max_nodes: int) -> Decision:
-    absorbing = _absorbing_accepting(a)
-    start = a.initial
-    parents: dict[frozenset[str], Optional[tuple[frozenset[str], str]]] = {
-        start: None}
-
-    def word_of(subset: frozenset[str]) -> Word:
-        parts: list[str] = []
-        node = subset
-        while parents[node] is not None:
-            node, sym = parents[node]
-            parts.append(sym)
-        return tuple(reversed(parts))
-
-    if not (start & a.accepting):
-        return Decision(False, ())
-    frontier = [start]
-    while frontier:
-        nxt: list[frozenset[str]] = []
-        for subset in frontier:
-            if subset & absorbing:
-                continue
-            for sym in a.alphabet:
-                target = a.move(subset, sym)
-                if target in parents:
-                    continue
-                if len(parents) >= max_nodes:
-                    raise CapacityError(
-                        f"universality search exceeded {max_nodes} subsets")
-                parents[target] = (subset, sym)
-                if not (target & a.accepting):
-                    return Decision(False, word_of(target))
-                nxt.append(target)
-        frontier = nxt
-    return Decision(True)
-
-
-def _universal_unary(a: Automaton) -> Decision:
-    if not _is_unary_po(a):
-        raise ValueError("the unary engine requires a unary partially "
-                         "ordered automaton")
-    symbol = a.alphabet[0]
-    for length in range(len(a.states) + 1):
-        if not accepts(a, (symbol,) * length):
-            return Decision(False, (symbol,) * length)
-    # a word as long as the state count pumps through a self-loop, so
-    # all longer words are accepted as well
-    return Decision(True)
-
-
-def _universal_bounded(a: Automaton, max_representatives: int) -> Decision:
-    if not _is_rponfa(a):
-        raise ValueError("the bounded engine requires a partially ordered "
-                         "automaton with deterministic self-loops")
-    k = _bounded_bound(a)
-    bound = max_representative_length(k, len(a.alphabet))
-    count = 0
-    for representative in enumerate_minimal_representatives(a.alphabet, k, bound):
-        count += 1
-        if count > max_representatives:
-            raise CapacityError(
-                f"more than {max_representatives} class representatives")
-        if not accepts(a, representative):
-            # the language is a union of classes, so a rejected
-            # representative certifies a rejected class
-            return Decision(False, representative)
-    return Decision(True)
+    return _decide(None, a, strategy, max_nodes, bound_budget,
+                   max_representatives)
 
 
 def includes(a: Automaton, b: Automaton,
@@ -198,68 +161,46 @@ def includes(a: Automaton, b: Automaton,
     """
     if tuple(a.alphabet) != tuple(b.alphabet):
         raise ValueError("inclusion requires identical alphabets")
-    strategy = _as_strategy(strategy)
-    if strategy is Strategy.AUTO:
-        if _is_unary_po(a) and _is_unary_po(b):
-            strategy = Strategy.UNARY_PO
-        elif _is_rponfa(b):
-            k = _bounded_bound(b)
-            if max_representative_length(k, len(b.alphabet)) <= bound_budget:
-                strategy = Strategy.RPONFA_BOUNDED
-            else:
-                logger.warning(
-                    "representative bound %d exceeds budget %d; "
-                    "falling back to the generic engine",
-                    max_representative_length(k, len(b.alphabet)), bound_budget)
-                strategy = Strategy.GENERIC
-        else:
-            strategy = Strategy.GENERIC
-    if strategy is Strategy.UNARY_PO:
-        return _includes_unary(a, b)
-    if strategy is Strategy.RPONFA_BOUNDED:
-        return _includes_bounded(a, b, max_representatives)
-    return _includes_generic(a, b, max_nodes)
+    return _decide(a, b, strategy, max_nodes, bound_budget,
+                   max_representatives)
 
 
-def _includes_generic(a: Automaton, b: Automaton, max_nodes: int) -> Decision:
-    absorbing_b = _absorbing_accepting(b)
-    Node = tuple[frozenset[str], frozenset[str]]
-    start: Node = (a.initial, b.initial)
-    parents: dict[Node, Optional[tuple[Node, str]]] = {start: None}
+def _includes_generic(left: Optional[Automaton], right: Automaton,
+                      max_nodes: int) -> Decision:
+    """Breadth-first search for a word accepted by ``left`` (None: Σ*)
+    and rejected by ``right``, over subsets of ``right`` or over pairs
+    of subsets."""
+    absorbing = _absorbing_accepting(right)
+    if left is None:
+        def successors(subset):
+            if not subset & absorbing:
+                for sym in right.alphabet:
+                    yield sym, right.move(subset, sym)
 
-    def word_of(node: Node) -> Word:
-        parts: list[str] = []
-        while parents[node] is not None:
-            node, sym = parents[node]
-            parts.append(sym)
-        return tuple(reversed(parts))
+        def rejected(subset) -> bool:
+            return not (subset & right.accepting)
 
-    def is_counterexample(node: Node) -> bool:
-        sa, sb = node
-        return bool(sa & a.accepting) and not (sb & b.accepting)
-
-    if is_counterexample(start):
-        return Decision(False, ())
-    frontier = [start]
-    while frontier:
-        nxt: list[Node] = []
-        for node in frontier:
+        starts = [right.initial]
+        message = "universality search exceeded {} subsets"
+    else:
+        def successors(node):
             sa, sb = node
-            if not sa or (sb & absorbing_b):
-                continue
-            for sym in a.alphabet:
-                target = (a.move(sa, sym), b.move(sb, sym))
-                if target in parents:
-                    continue
-                if len(parents) >= max_nodes:
-                    raise CapacityError(
-                        f"inclusion search exceeded {max_nodes} subset pairs")
-                parents[target] = (node, sym)
-                if is_counterexample(target):
-                    return Decision(False, word_of(target))
-                nxt.append(target)
-        frontier = nxt
-    return Decision(True)
+            if sa and not sb & absorbing:
+                for sym in right.alphabet:
+                    yield sym, (left.move(sa, sym), right.move(sb, sym))
+
+        def rejected(node) -> bool:
+            sa, sb = node
+            return bool(sa & left.accepting) and not (sb & right.accepting)
+
+        starts = [(left.initial, right.initial)]
+        message = "inclusion search exceeded {} subset pairs"
+    try:
+        word = shortest_word(starts, right.alphabet, successors, rejected,
+                             max_nodes)
+    except CapacityError:
+        raise CapacityError(message.format(max_nodes)) from None
+    return Decision(True) if word is None else Decision(False, word)
 
 
 def _unary_loop_threshold(a: Automaton) -> Optional[int]:
@@ -304,9 +245,6 @@ def _unary_loop_threshold(a: Automaton) -> Optional[int]:
 
 
 def _includes_unary(a: Automaton, b: Automaton) -> Decision:
-    if not (_is_unary_po(a) and _is_unary_po(b)):
-        raise ValueError("the unary engine requires unary partially ordered "
-                         "automata on both sides")
     symbol = a.alphabet[0]
     threshold_a = _unary_loop_threshold(a)
     threshold_b = _unary_loop_threshold(b)
@@ -334,12 +272,9 @@ def _includes_unary(a: Automaton, b: Automaton) -> Decision:
 
 def _includes_bounded(a: Automaton, b: Automaton,
                       max_representatives: int) -> Decision:
-    if not _is_rponfa(b):
-        raise ValueError("the bounded engine requires the right-hand "
-                         "automaton to be partially ordered with "
-                         "deterministic self-loops")
-    k = _bounded_bound(b)
-    bound = max_representative_length(k, len(b.alphabet))
+    k, bound = _class_bound(b)
+    if bound > MACHINE_WORD_MAX:
+        raise CapacityError("representative bound exceeds the machine word")
     count = 0
     for representative in enumerate_minimal_representatives(b.alphabet, k, bound):
         count += 1

@@ -20,6 +20,7 @@ criterion, and the no-progress verdict is logged when it decides.
 from __future__ import annotations
 
 import logging
+from collections import deque
 from dataclasses import dataclass
 
 from .core import (Automaton, _strongly_connected_components,
@@ -121,9 +122,9 @@ def _canonical_key(d: Automaton) -> tuple:
     in breadth-first order from the initial state."""
     (start,) = d.initial
     numbering = {start: 0}
-    queue = [start]
+    queue = deque([start])
     while queue:
-        state = queue.pop(0)
+        state = queue.popleft()
         for symbol in d.alphabet:
             for target in sorted(d.step(state, symbol), key=d.state_index):
                 if target not in numbering:

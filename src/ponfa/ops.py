@@ -1,4 +1,5 @@
-"""Constructions on automata: determinization, minimization, products.
+"""Constructions on automata: determinization, minimization, products,
+and the shortest-word search behind every witness.
 
 Witness words returned by the emptiness test are always the shortest
 accepted word, with ties broken lexicographically by alphabet order.
@@ -6,7 +7,9 @@ accepted word, with ties broken lexicographically by alphabet order.
 
 from __future__ import annotations
 
-from typing import Union
+from collections import deque
+from typing import (Callable, Hashable, Iterable, Optional, Sequence, TypeVar,
+                    Union)
 
 from .core import Automaton, CapacityError, Decision, Word
 
@@ -14,6 +17,8 @@ DEFAULT_SUBSET_LIMIT = 1 << 20
 
 INFINITE = float("inf")
 LanguageSize = Union[int, float]
+
+Node = TypeVar("Node", bound=Hashable)
 
 
 def _subset_name(a: Automaton, subset: frozenset[str]) -> str:
@@ -32,9 +37,9 @@ def determinize(a: Automaton, max_subsets: int = DEFAULT_SUBSET_LIMIT) -> Automa
     names: dict[frozenset[str], str] = {start: _subset_name(a, start)}
     order: list[frozenset[str]] = [start]
     transitions: dict[tuple[str, str], frozenset[str]] = {}
-    queue = [start]
+    queue = deque([start])
     while queue:
-        subset = queue.pop(0)
+        subset = queue.popleft()
         for sym in a.alphabet:
             target = a.move(subset, sym)
             if target not in names:
@@ -136,9 +141,9 @@ def product_intersection(a: Automaton, b: Automaton) -> Automaton:
     names = {pair: f"({pair[0]},{pair[1]})" for pair in start}
     order = list(start)
     transitions: dict[tuple[str, str], set[str]] = {}
-    queue = list(start)
+    queue = deque(start)
     while queue:
-        p, q = queue.pop(0)
+        p, q = queue.popleft()
         for sym in a.alphabet:
             targets_a = sorted(a.step(p, sym), key=a.state_index)
             targets_b = sorted(b.step(q, sym), key=b.state_index)
@@ -158,31 +163,81 @@ def product_intersection(a: Automaton, b: Automaton) -> Automaton:
                      [names[pair] for pair in start], accepting, transitions)
 
 
+def shortest_word(starts: Iterable[Node], symbols: Sequence[str],
+                  successors: Callable[[Node], Iterable[tuple[str, Node]]],
+                  is_goal: Callable[[Node], bool],
+                  max_nodes: float = INFINITE) -> Optional[Word]:
+    """Shortest word leading from a start node to a goal node, ties
+    broken by the order of ``symbols``; None when no goal is reachable.
+
+    ``successors(node)`` yields ``(symbol, node)`` pairs in symbol
+    order.  The search is breadth first over a FIFO queue with parent
+    links, and tests the goal when a node is discovered.  Nodes first
+    reached by the same word share one link and leave the queue as a
+    group whose successors are merged in symbol order, so the first
+    goal met closes the length-lex-least word also when several nodes
+    share a word.  A node is stored once; storing more than
+    ``max_nodes`` raises ``CapacityError``.
+    """
+    rank = {symbol: i for i, symbol in enumerate(symbols)}
+    parents: dict[Node, Optional[tuple[Node, str]]] = {}
+    queue: deque[Node] = deque()
+    for node in starts:
+        if node not in parents:
+            parents[node] = None
+            if is_goal(node):
+                return ()
+            queue.append(node)
+    while queue:
+        node = queue.popleft()
+        link = parents[node]
+        if queue and parents[queue[0]] is link:
+            group = [node]
+            while queue and parents[queue[0]] is link:
+                group.append(queue.popleft())
+            pairs: Iterable[tuple[str, Node]] = sorted(
+                [pair for member in group for pair in successors(member)],
+                key=lambda pair: rank[pair[0]])
+        else:   # the only case in deterministic searches
+            pairs = successors(node)
+        last = None
+        for symbol, target in pairs:
+            if target in parents:
+                continue
+            if len(parents) >= max_nodes:
+                raise CapacityError(f"search exceeded {max_nodes} nodes")
+            if symbol != last:
+                last, new_link = symbol, (node, symbol)
+            parents[target] = new_link
+            if is_goal(target):
+                return _spell(parents, target)
+            queue.append(target)
+    return None
+
+
+def _spell(parents: dict, node: Hashable) -> Word:
+    letters: list[str] = []
+    while parents[node] is not None:
+        node, symbol = parents[node]
+        letters.append(symbol)
+    return tuple(reversed(letters))
+
+
+def moves(a: Automaton, q: str) -> list[tuple[str, str]]:
+    """The ``(symbol, target)`` pairs leaving a state, in alphabet order
+    and, per symbol, in no particular order."""
+    return [(sym, t) for sym in a.alphabet for t in a.step(q, sym)]
+
+
 def is_empty(a: Automaton) -> Decision:
     """Emptiness test.
 
     ``holds`` means the language is empty.  Otherwise the witness is
-    the shortest accepted word, ties broken by alphabet order; the
-    search is a breadth-first traversal that expands symbols in
-    declaration order, so the first accepting state found closes the
-    lexicographically least shortest path.
+    the shortest accepted word, ties broken by alphabet order.
     """
-    frontier: list[tuple[str, Word]] = [
-        (q, ()) for q in sorted(a.initial, key=a.state_index)]
-    seen = set(q for q, _ in frontier)
-    while frontier:
-        for q, word in frontier:
-            if q in a.accepting:
-                return Decision(False, word)
-        nxt: list[tuple[str, Word]] = []
-        for q, word in frontier:
-            for sym in a.alphabet:
-                for t in sorted(a.step(q, sym), key=a.state_index):
-                    if t not in seen:
-                        seen.add(t)
-                        nxt.append((t, word + (sym,)))
-        frontier = nxt
-    return Decision(True, None)
+    word = shortest_word(a.initial, a.alphabet, lambda q: moves(a, q),
+                         lambda q: q in a.accepting)
+    return Decision(True, None) if word is None else Decision(False, word)
 
 
 def count_language_size(d: Automaton) -> LanguageSize:
@@ -196,9 +251,9 @@ def count_language_size(d: Automaton) -> LanguageSize:
     _require_complete_dfa(d, "count_language_size")
     (start,) = d.initial
     reachable = {start}
-    queue = [start]
+    queue = deque([start])
     while queue:
-        q = queue.pop(0)
+        q = queue.popleft()
         for sym in d.alphabet:
             (t,) = d.step(q, sym)
             if t not in reachable:
@@ -210,9 +265,9 @@ def count_language_size(d: Automaton) -> LanguageSize:
             (t,) = d.step(q, sym)
             predecessors[t].add(q)
     co_reachable = set(q for q in d.accepting if q in reachable)
-    queue = list(co_reachable)
+    queue = deque(co_reachable)
     while queue:
-        q = queue.pop(0)
+        q = queue.popleft()
         for p in predecessors[q]:
             if p not in co_reachable:
                 co_reachable.add(p)

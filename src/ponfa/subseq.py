@@ -23,6 +23,8 @@ from typing import Iterable, Iterator, Sequence
 
 from .core import Automaton, Word
 
+MACHINE_WORD_MAX = 2**63 - 1
+
 
 def _canonical(members: Iterable[Word]) -> tuple[Word, ...]:
     return tuple(sorted(set(members), key=lambda u: (len(u), u)))

@@ -20,11 +20,12 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .core import (Automaton, CapacityError, Word, classify)
-from .ops import complement, determinize, is_empty, minimize, product_intersection
-from .subseq import (SubseqSet, class_dfa, enumerate_minimal_representatives,
+from .ops import (complement, determinize, is_empty, minimize, moves,
+                  product_intersection, shortest_word)
+from .subseq import (MACHINE_WORD_MAX, SubseqSet, class_dfa,
+                     enumerate_minimal_representatives,
                      max_representative_length, sub_k)
 
-MACHINE_WORD_MAX = 2**63 - 1
 DEFAULT_PATH_LIMIT = 10**6
 DEFAULT_SIGNATURE_LIMIT = 10**6
 
@@ -65,50 +66,18 @@ class RExpression:
                 raise ValueError(f"letter {letter!r} occurs in its loop set")
 
 
-def _shortest_word_to(d: Automaton, target: str) -> Word:
-    """Shortest word from the initial states to ``target``, ties by
-    alphabet order."""
-    frontier: list[tuple[str, Word]] = [
-        (q, ()) for q in sorted(d.initial, key=d.state_index)]
-    seen = {q for q, _ in frontier}
-    while frontier:
-        for q, word in frontier:
-            if q == target:
-                return word
-        nxt: list[tuple[str, Word]] = []
-        for q, word in frontier:
-            for sym in d.alphabet:
-                for t in sorted(d.step(q, sym), key=d.state_index):
-                    if t not in seen:
-                        seen.add(t)
-                        nxt.append((t, word + (sym,)))
-        frontier = nxt
-    raise ValueError(f"state {target!r} is unreachable")
-
-
-def _shortest_cycle_through(d: Automaton, state: str,
+def _shortest_cycle_through(d: Automaton, anchor: str,
                             component: frozenset[str]) -> Word:
-    """Shortest word labelling a cycle from ``state`` back to itself
-    that leaves the state at least once, staying inside ``component``."""
-    frontier: list[tuple[str, Word]] = []
-    seen: set[str] = set()
-    for sym in d.alphabet:
-        for t in sorted(d.step(state, sym), key=d.state_index):
-            if t != state and t in component and t not in seen:
-                seen.add(t)
-                frontier.append((t, (sym,)))
-    while frontier:
-        nxt: list[tuple[str, Word]] = []
-        for q, word in frontier:
-            for sym in d.alphabet:
-                for t in sorted(d.step(q, sym), key=d.state_index):
-                    if t == state:
-                        return word + (sym,)
-                    if t in component and t not in seen:
-                        seen.add(t)
-                        nxt.append((t, word + (sym,)))
-        frontier = nxt
-    raise ValueError("no cycle found inside the component")
+    """Shortest word labelling a cycle from ``anchor`` back to itself
+    that leaves the anchor at least once, staying inside ``component``.
+    Nodes are ``(state, has_left_anchor)``."""
+    def successors(node: tuple[str, bool]) -> list[tuple[str, tuple[str, bool]]]:
+        q, left = node
+        return [(sym, (t, left or t != anchor)) for sym, t in moves(d, q)
+                if t in component]
+
+    return shortest_word([(anchor, False)], d.alphabet, successors,
+                         lambda node: node == (anchor, True))
 
 
 def is_r_trivial(a: Automaton) -> TrivialityVerdict:
@@ -117,7 +86,8 @@ def is_r_trivial(a: Automaton) -> TrivialityVerdict:
     Decided on the minimal deterministic automaton: the language
     qualifies exactly when that automaton is partially ordered.  On
     failure the verdict exhibits a state on a proper cycle through two
-    access words, one of which traverses the cycle once.
+    access words, one of which traverses the cycle once; both words are
+    the shortest of their kind, ties broken by alphabet order.
     """
     minimal = minimize(determinize(a))
     if classify(minimal).is_partially_ordered:
@@ -129,7 +99,9 @@ def is_r_trivial(a: Automaton) -> TrivialityVerdict:
     component = frozenset(min(cyclic,
                               key=lambda c: min(minimal.state_index(q) for q in c)))
     anchor = min(component, key=minimal.state_index)
-    access = _shortest_word_to(minimal, anchor)
+    # every state of a minimized automaton is reachable
+    access = shortest_word(minimal.initial, minimal.alphabet,
+                           lambda q: moves(minimal, q), lambda q: q == anchor)
     loop = _shortest_cycle_through(minimal, anchor, component)
     return TrivialityVerdict(False, cycle_words=(access, access + loop))
 

@@ -1,6 +1,7 @@
 """Universality, inclusion and equivalence under all four engines."""
 
 import itertools
+import json
 import logging
 import random
 
@@ -226,3 +227,41 @@ def test_unary_inclusion():
     with pytest.raises(ValueError):
         includes(sigma_star(("a", "b")), sigma_star(("a", "b")),
                  strategy=Strategy.UNARY_PO)
+
+
+def wide_chain(length, width):
+    """rpoNFA chain over ``width`` letters: state i loops on half of the
+    letters and advances on the next one; every other cell is empty.
+    Its representative bound C(length + width, length) - 1 is far
+    beyond a machine word."""
+    alphabet = tuple(f"x{j}" for j in range(width))
+    states = [f"c{i}" for i in range(length)]
+    transitions = {}
+    for i, q in enumerate(states):
+        for j in range(width // 2):
+            transitions[(q, alphabet[(i + j) % width])] = [q]
+        if i + 1 < length:
+            transitions[(q, alphabet[(i + width // 2) % width])] = [states[i + 1]]
+    return Automaton(alphabet, states, [states[0]], states[::2], transitions)
+
+
+def test_auto_falls_back_beyond_a_machine_word(caplog, tmp_path, capsys):
+    from ponfa.cli import main
+    from ponfa.core import serialize_automaton
+
+    chain = wide_chain(100, 20)
+    assert classify(chain).is_self_loop_deterministic
+    with caplog.at_level(logging.WARNING, logger="ponfa.decision"):
+        verdict = is_universal(chain)
+    # c0 loops on x0..x9 and x10 leads to the rejecting c1
+    assert not verdict.holds and verdict.witness == ("x10",)
+    assert any("falling back to the generic engine" in record.message
+               for record in caplog.records)
+    with pytest.raises(CapacityError):
+        is_universal(chain, strategy=Strategy.RPONFA_BOUNDED)
+
+    path = tmp_path / "chain.json"
+    path.write_text(serialize_automaton(chain))
+    assert main(["universal", str(path)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["result"] is False and doc["witness"] == ["x10"]

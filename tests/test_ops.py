@@ -151,6 +151,25 @@ def test_is_empty_witness_accepted():
             assert accepts(a, verdict.witness)
 
 
+def test_is_empty_witness_is_the_length_lex_least_word():
+    # a nonempty language of an n-state automaton has a word shorter
+    # than n, so scanning words in length-lex order up to n - 1 finds
+    # the least one or proves emptiness
+    rng = random.Random(71)
+    nonempty = 0
+    for _ in range(120):
+        alphabet = ("a", "b", "c")[:rng.randint(1, 3)]
+        a = random_nfa(rng, rng.randint(1, 6), alphabet)
+        least = next((word for size in range(len(a.states))
+                      for word in itertools.product(alphabet, repeat=size)
+                      if accepts(a, word)), None)
+        verdict = is_empty(a)
+        assert verdict.holds == (least is None)
+        assert verdict.witness == least
+        nonempty += least is not None
+    assert nonempty >= 60
+
+
 def test_count_language_size():
     a = contains_a1()
     assert count_language_size(determinize(a)) == INFINITE

@@ -8,6 +8,7 @@ import pytest
 from ponfa.core import Automaton, accepts, classify, depth
 from ponfa.decision import equivalent
 from ponfa.extremal import build_a, build_w
+from ponfa.ops import determinize, minimize
 from ponfa.triviality import (RExpression, is_k_r_trivial,
                               is_k_r_trivial_oracle, is_r_trivial,
                               r_expression_to_automaton,
@@ -43,6 +44,34 @@ def random_rponfa(rng, n_states, alphabet):
     return Automaton(alphabet, states, initial, accepting, transitions)
 
 
+def random_nfa(rng, n_states, alphabet):
+    states = [f"s{i}" for i in range(n_states)]
+    transitions = {}
+    for q in states:
+        for symbol in alphabet:
+            if rng.random() < 0.8:
+                transitions[(q, symbol)] = rng.sample(
+                    states, min(len(states), rng.randint(1, 2)))
+    initial = rng.sample(states, min(len(states), rng.randint(1, 2)))
+    accepting = rng.sample(states, rng.randint(0, n_states))
+    return Automaton(alphabet, states, initial, accepting, transitions)
+
+
+def run_dfa(d, start, word):
+    """States visited by a complete DFA reading ``word`` from ``start``."""
+    path = [start]
+    for symbol in word:
+        (target,) = d.step(path[-1], symbol)
+        path.append(target)
+    return path
+
+
+def least_word(alphabet, max_len, wanted):
+    return next((word for size in range(max_len + 1)
+                 for word in itertools.product(alphabet, repeat=size)
+                 if wanted(word)), None)
+
+
 def test_partially_ordered_languages_qualify():
     a = build_a(2, 2)
     assert is_r_trivial(a).holds
@@ -60,6 +89,32 @@ def test_cycle_witness_on_failure():
     a = loop_plus()
     for tail in itertools.product(("a", "b"), repeat=3):
         assert accepts(a, shorter + tail) == accepts(a, longer + tail)
+
+
+def test_cycle_words_are_length_lex_least():
+    rng = random.Random(83)
+    checked = 0
+    while checked < 40:
+        a = random_nfa(rng, rng.randint(2, 4), ("a", "b"))
+        verdict = is_r_trivial(a)
+        if verdict.holds:
+            continue
+        access, longer = verdict.cycle_words
+        assert longer[:len(access)] == access
+        loop = longer[len(access):]
+        minimal = minimize(determinize(a))
+        (start,) = minimal.initial
+        anchor = run_dfa(minimal, start, access)[-1]
+        assert least_word(a.alphabet, len(access),
+                          lambda w: run_dfa(minimal, start, w)[-1] == anchor
+                          ) == access
+
+        def returns_after_leaving(word):
+            path = run_dfa(minimal, anchor, word)
+            return path[-1] == anchor and any(q != anchor for q in path[1:-1])
+
+        assert least_word(a.alphabet, len(loop), returns_after_leaving) == loop
+        checked += 1
 
 
 def test_random_rponfas_are_r_trivial():
