@@ -14,18 +14,20 @@ both ways.  Three engines decide an inclusion:
 * ``RPONFA_BOUNDED``  for a self-loop-deterministic partially ordered
                       right side the language is a union of
                       prefix-k-equivalence classes for k equal to the
-                      completed automaton's depth, so it suffices to
-                      inspect the finitely many shortest class
-                      representatives: a rejected class that meets the
-                      left language yields its shortest member there.
+                      completed automaton's depth, so a word is accepted
+                      exactly when its class representative is.  The
+                      class search ``subseq.class_search`` runs the left
+                      side on the word and the right side on its
+                      representative.
 
 ``AUTO`` has one rule for both questions: ``UNARY_PO`` when both sides
 are unary and partially ordered, else ``RPONFA_BOUNDED`` when the right
 side qualifies and its representative bound is within the budget, else
-``GENERIC``.  A bound beyond the budget, also one beyond a machine word,
-makes it fall back to ``GENERIC`` with a logged warning.  The witness
-searches of ``GENERIC`` and of the class products share one core,
-``ops.shortest_word``.
+``GENERIC``.  A bound beyond the budget makes it fall back to
+``GENERIC`` with a logged warning.  Every engine returns the same
+witness: the length-lex-least word accepted on the left and rejected on
+the right, ties broken by alphabet order.  The searches of ``GENERIC``
+and of the class search share one core, ``ops.shortest_word``.
 """
 
 from __future__ import annotations
@@ -36,16 +38,12 @@ from typing import Optional
 
 from .core import (Automaton, CapacityError, Decision, accepts, classify,
                    complete_automaton, depth)
-from .ops import (DEFAULT_SUBSET_LIMIT, is_empty, product_intersection,
-                  shortest_word)
-from .subseq import (MACHINE_WORD_MAX, class_dfa,
-                     enumerate_minimal_representatives,
-                     max_representative_length)
+from .ops import DEFAULT_SUBSET_LIMIT, shortest_word
+from .subseq import class_search, max_representative_length
 
 logger = logging.getLogger(__name__)
 
 DEFAULT_BOUND_BUDGET = 16
-DEFAULT_REPRESENTATIVE_LIMIT = 10**6
 
 
 class Strategy(Enum):
@@ -69,33 +67,28 @@ def _absorbing_accepting(a: Automaton) -> frozenset[str]:
                      if all(q in a.step(q, sym) for sym in a.alphabet))
 
 
-def _class_bound(a: Automaton) -> tuple[int, int]:
-    """Class depth k of the bounded engine and the length bound of its
-    representatives, as an exact integer."""
-    k = depth(complete_automaton(a))
-    return k, max_representative_length(k, len(a.alphabet))
-
-
 def _sigma_star(alphabet: tuple[str, ...]) -> Automaton:
     return Automaton(alphabet, ("all",), ["all"], ["all"],
                      {("all", sym): ["all"] for sym in alphabet})
 
 
 def _choose(strategy: Strategy, left: Optional[Automaton], right: Automaton,
-            bound_budget: int) -> Strategy:
-    """The engine for L(left) ⊆ L(right), ``left`` None standing for Σ*.
+            bound_budget: int) -> tuple[Strategy, Optional[int]]:
+    """The engine for L(left) ⊆ L(right), ``left`` None standing for Σ*,
+    with the class depth k of the right side when the engine is
+    ``RPONFA_BOUNDED``.
 
-    Classifies each side at most once.  An explicit engine is checked
-    against its requirements; ``AUTO`` applies the rule in the module
-    docstring.
+    Classifies each side and computes k at most once.  An explicit
+    engine is checked against its requirements; ``AUTO`` applies the
+    rule in the module docstring.
     """
     if strategy is Strategy.GENERIC:
-        return strategy
+        return strategy, None
     flags = classify(right)
     if strategy in (Strategy.AUTO, Strategy.UNARY_PO):
         if (len(right.alphabet) == 1 and flags.is_partially_ordered
                 and (left is None or classify(left).is_partially_ordered)):
-            return Strategy.UNARY_PO
+            return Strategy.UNARY_PO, None
         if strategy is Strategy.UNARY_PO:
             raise ValueError("the unary engine requires unary partially "
                              "ordered automata")
@@ -104,65 +97,66 @@ def _choose(strategy: Strategy, left: Optional[Automaton], right: Automaton,
             raise ValueError("the bounded engine requires the right-hand "
                              "automaton to be partially ordered with "
                              "deterministic self-loops")
-        return Strategy.GENERIC
+        return Strategy.GENERIC, None
+    k = depth(complete_automaton(right))
     if strategy is Strategy.RPONFA_BOUNDED:
-        return strategy
-    _, bound = _class_bound(right)
+        return strategy, k
+    bound = max_representative_length(k, len(right.alphabet))
     if bound <= bound_budget:
-        return Strategy.RPONFA_BOUNDED
+        return Strategy.RPONFA_BOUNDED, k
     logger.warning("representative bound %d exceeds budget %d; "
                    "falling back to the generic engine", bound, bound_budget)
-    return Strategy.GENERIC
+    return Strategy.GENERIC, None
 
 
 def _decide(left: Optional[Automaton], right: Automaton,
-            strategy: "Strategy | str", max_nodes: int, bound_budget: int,
-            max_representatives: int) -> Decision:
+            strategy: "Strategy | str", max_nodes: int,
+            bound_budget: int) -> Decision:
     """Is L(left) ⊆ L(right)?  ``left`` None stands for Σ* over the
     alphabet of ``right``."""
-    engine = _choose(_as_strategy(strategy), left, right, bound_budget)
+    engine, k = _choose(_as_strategy(strategy), left, right, bound_budget)
     if engine is Strategy.GENERIC:
         return _includes_generic(left, right, max_nodes)
     if left is None:
         left = _sigma_star(right.alphabet)
     if engine is Strategy.UNARY_PO:
         return _includes_unary(left, right)
-    return _includes_bounded(left, right, max_representatives)
+    # L(right) is a union of prefix-k classes: right accepts a word
+    # exactly when it accepts the word's class representative
+    word = class_search(
+        left, right, k,
+        lambda sa, sb: bool(sa & left.accepting) and not sb & right.accepting,
+        max_nodes)
+    return Decision(True) if word is None else Decision(False, word)
 
 
 def is_universal(a: Automaton, strategy: "Strategy | str" = Strategy.AUTO,
                  max_nodes: int = DEFAULT_SUBSET_LIMIT,
-                 bound_budget: int = DEFAULT_BOUND_BUDGET,
-                 max_representatives: int = DEFAULT_REPRESENTATIVE_LIMIT
-                 ) -> Decision:
+                 bound_budget: int = DEFAULT_BOUND_BUDGET) -> Decision:
     """Does the automaton accept every word over its alphabet?
 
     Decided as the inclusion of Σ* in ``a``.  The witness of a negative
-    answer is a shortest rejected word, ties broken by alphabet order,
-    under every engine: the bounded engine's first rejected class
-    representative is the unique shortest member of its class.
+    answer is the length-lex-least rejected word, ties broken by
+    alphabet order, under every engine.
     """
-    return _decide(None, a, strategy, max_nodes, bound_budget,
-                   max_representatives)
+    return _decide(None, a, strategy, max_nodes, bound_budget)
 
 
 def includes(a: Automaton, b: Automaton,
              strategy: "Strategy | str" = Strategy.AUTO,
              max_nodes: int = DEFAULT_SUBSET_LIMIT,
-             bound_budget: int = DEFAULT_BOUND_BUDGET,
-             max_representatives: int = DEFAULT_REPRESENTATIVE_LIMIT
-             ) -> Decision:
+             bound_budget: int = DEFAULT_BOUND_BUDGET) -> Decision:
     """Language inclusion: is every word of ``a`` accepted by ``b``?
 
-    A negative witness is accepted by ``a`` and rejected by ``b``.
-    The bounded engine requires the right-hand automaton to be
+    A negative witness is the length-lex-least word accepted by ``a``
+    and rejected by ``b``, ties broken by alphabet order, under every
+    engine.  The bounded engine requires the right-hand automaton to be
     partially ordered with deterministic self-loops; the unary engine
     requires both sides unary and partially ordered.
     """
     if tuple(a.alphabet) != tuple(b.alphabet):
         raise ValueError("inclusion requires identical alphabets")
-    return _decide(a, b, strategy, max_nodes, bound_budget,
-                   max_representatives)
+    return _decide(a, b, strategy, max_nodes, bound_budget)
 
 
 def _includes_generic(left: Optional[Automaton], right: Automaton,
@@ -270,45 +264,19 @@ def _includes_unary(a: Automaton, b: Automaton) -> Decision:
     return Decision(True)
 
 
-def _includes_bounded(a: Automaton, b: Automaton,
-                      max_representatives: int) -> Decision:
-    k, bound = _class_bound(b)
-    if bound > MACHINE_WORD_MAX:
-        raise CapacityError("representative bound exceeds the machine word")
-    count = 0
-    for representative in enumerate_minimal_representatives(b.alphabet, k, bound):
-        count += 1
-        if count > max_representatives:
-            raise CapacityError(
-                f"more than {max_representatives} class representatives")
-        if accepts(b, representative):
-            continue
-        # the right language is a union of classes, so this whole class
-        # is rejected by b; any member accepted by a separates them
-        cls = class_dfa(representative, k, b.alphabet)
-        meet = is_empty(product_intersection(cls, a))
-        if not meet.holds:
-            return Decision(False, meet.witness)
-    return Decision(True)
-
-
 def equivalent(a: Automaton, b: Automaton,
                strategy: "Strategy | str" = Strategy.AUTO,
                max_nodes: int = DEFAULT_SUBSET_LIMIT,
-               bound_budget: int = DEFAULT_BOUND_BUDGET,
-               max_representatives: int = DEFAULT_REPRESENTATIVE_LIMIT
-               ) -> Decision:
+               bound_budget: int = DEFAULT_BOUND_BUDGET) -> Decision:
     """Language equality via inclusion both ways.
 
     The witness of a negative answer belongs to exactly one language;
     ``direction`` records which ("first-only" or "second-only").
     """
-    forward = includes(a, b, strategy, max_nodes, bound_budget,
-                       max_representatives)
+    forward = includes(a, b, strategy, max_nodes, bound_budget)
     if not forward.holds:
         return Decision(False, forward.witness, direction="first-only")
-    backward = includes(b, a, strategy, max_nodes, bound_budget,
-                        max_representatives)
+    backward = includes(b, a, strategy, max_nodes, bound_budget)
     if not backward.holds:
         return Decision(False, backward.witness, direction="second-only")
     return Decision(True)

@@ -19,11 +19,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .core import Automaton, Word
-
-MACHINE_WORD_MAX = 2**63 - 1
+from .ops import shortest_word
 
 
 def _canonical(members: Iterable[Word]) -> tuple[Word, ...]:
@@ -109,13 +108,45 @@ def is_minimal_representative(word: Sequence[str], k: int) -> bool:
     Such words are the unique shortest members of their
     prefix-k-equivalence classes.
     """
+    return representative(word, k) == tuple(word)
+
+
+def representative(word: Sequence[str], k: int) -> Word:
+    """The unique shortest member of the prefix-k-equivalence class of
+    ``word``: the word without the letters that do not grow its
+    subsequence set."""
     current = sub_k((), k)
+    kept: list[str] = []
     for symbol in word:
         grown = current.extend(symbol)
-        if grown == current:
-            return False
-        current = grown
-    return True
+        if grown is not current:
+            kept.append(symbol)
+            current = grown
+    return tuple(kept)
+
+
+def class_search(left: Automaton, right: Automaton, k: int,
+                 is_goal: Callable[[frozenset[str], frozenset[str]], bool],
+                 max_nodes: int) -> Optional[Word]:
+    """Length-lex-least word w with ``is_goal(subset of left after w,
+    subset of right after representative(w, k))``, or None.
+
+    ``shortest_word`` runs over nodes (left subset, right subset,
+    sub_k(w)).  The right side moves only on letters that grow sub_k(w),
+    so it reads the representative.  Each node is a function of its
+    word, so the search is deterministic.
+    """
+    def successors(node):
+        on_left, on_right, current = node
+        for symbol in left.alphabet:
+            grown = current.extend(symbol)
+            yield symbol, (left.move(on_left, symbol),
+                           on_right if grown is current
+                           else right.move(on_right, symbol), grown)
+
+    start = (left.initial, right.initial, sub_k((), k))
+    return shortest_word([start], left.alphabet, successors,
+                         lambda node: is_goal(node[0], node[1]), max_nodes)
 
 
 def max_representative_length(k: int, alphabet_size: int) -> int:

@@ -15,16 +15,13 @@ with k equal to the automaton's depth.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .core import (Automaton, CapacityError, Word, classify)
-from .ops import (complement, determinize, is_empty, minimize, moves,
-                  product_intersection, shortest_word)
-from .subseq import (MACHINE_WORD_MAX, SubseqSet, class_dfa,
-                     enumerate_minimal_representatives,
-                     max_representative_length, sub_k)
+from .core import (Automaton, CapacityError, Word, accepts, classify)
+from .ops import (DEFAULT_SUBSET_LIMIT, determinize, minimize, moves,
+                  shortest_word)
+from .subseq import SubseqSet, class_search, representative, sub_k
 
 DEFAULT_PATH_LIMIT = 10**6
 DEFAULT_SIGNATURE_LIMIT = 10**6
@@ -106,46 +103,31 @@ def is_r_trivial(a: Automaton) -> TrivialityVerdict:
     return TrivialityVerdict(False, cycle_words=(access, access + loop))
 
 
-def _split_for_bound(minimal: Automaton, rejecting: Automaton, k: int
-                     ) -> Optional[tuple[Word, Word, Word]]:
-    """First class under the bound ``k`` containing both an accepted
-    and a rejected word, or None when the language is a union of
-    classes."""
-    alphabet = minimal.alphabet
-    bound = max_representative_length(k, len(alphabet))
-    for representative in enumerate_minimal_representatives(alphabet, k, bound):
-        cls = class_dfa(representative, k, alphabet)
-        inside = is_empty(product_intersection(cls, minimal))
-        outside = is_empty(product_intersection(cls, rejecting))
-        if not inside.holds and not outside.holds:
-            return (representative, inside.witness, outside.witness)
-    return None
-
-
 def is_k_r_trivial(a: Automaton, k: int) -> TrivialityVerdict:
     """Is the language a union of prefix-k-equivalence classes?
 
-    Checked through the unique shortest class representatives: the
-    property fails exactly when some class with a representative of
-    length at most C(k+n, k) - 1 meets both the language and its
-    complement.  Membership of classes in either side goes through the
-    class automaton intersected with the minimal automaton or its
-    complement.  Since the property is monotone in ``k``, smaller
-    bounds are tried first and ``k_used`` reports the first success.
+    A word shares its class with its representative, the word without
+    the letters that do not grow its subsequence set.  So the property
+    fails exactly when some word and its representative differ in
+    acceptance; ``subseq.class_search`` finds the length-lex-least such
+    word, and ``split_class`` holds its representative and the accepted
+    and the rejected one of the two.  Since the property is monotone in
+    ``k``, smaller bounds are tried first and ``k_used`` reports the
+    first success.  A search storing more than
+    ``ops.DEFAULT_SUBSET_LIMIT`` nodes raises ``CapacityError``.
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
-    n = len(a.alphabet)
-    if math.comb(k + n, k) > MACHINE_WORD_MAX:
-        raise CapacityError(f"representative bound C({k + n},{k}) exceeds "
-                            "the machine word")
-    minimal = minimize(determinize(a))
-    rejecting = complement(minimal)
-    split = None
+
+    def differ(here: frozenset[str], there: frozenset[str]) -> bool:
+        return bool(here & a.accepting) != bool(there & a.accepting)
+
     for smaller in range(k + 1):
-        split = _split_for_bound(minimal, rejecting, smaller)
-        if split is None:
+        word = class_search(a, a, smaller, differ, DEFAULT_SUBSET_LIMIT)
+        if word is None:
             return TrivialityVerdict(True, k_used=smaller)
+    rep = representative(word, k)
+    split = (rep, word, rep) if accepts(a, word) else (rep, rep, word)
     return TrivialityVerdict(False, k_used=k, split_class=split)
 
 
@@ -223,28 +205,28 @@ def rponfa_to_r_expressions(a: Automaton,
     out: list[RExpression] = []
     counter = 0
 
-    def emit(path_states: list[str], path_letters: list[str]) -> None:
+    def emit(path_states: tuple[str, ...], path_letters: Word) -> None:
         nonlocal counter
         counter += 1
         if counter > max_paths:
             raise CapacityError(f"more than {max_paths} accepting paths")
-        expr = RExpression(tuple(loops[q] for q in path_states),
-                           tuple(path_letters))
+        expr = RExpression(tuple(loops[q] for q in path_states), path_letters)
         if expr not in seen:
             seen.add(expr)
             out.append(expr)
 
-    def explore(path_states: list[str], path_letters: list[str]) -> None:
+    # depth first with an explicit stack, children pushed in reverse;
+    # the order has no cycles but self-loops, so every path is simple
+    stack = [((q,), ()) for q in sorted(a.initial, key=a.state_index,
+                                       reverse=True)]
+    while stack:
+        path_states, path_letters = stack.pop()
         q = path_states[-1]
         if q in a.accepting:
             emit(path_states, path_letters)
-        for sym in a.alphabet:
-            for t in sorted(a.step(q, sym), key=a.state_index):
-                if t != q and t not in path_states:
-                    explore(path_states + [t], path_letters + [sym])
-
-    for q in sorted(a.initial, key=a.state_index):
-        explore([q], [])
+        stack.extend(reversed([
+            (path_states + (t,), path_letters + (sym,)) for sym in a.alphabet
+            for t in sorted(a.step(q, sym), key=a.state_index) if t != q]))
     return out
 
 

@@ -172,8 +172,7 @@ def test_capacity_limits_raise():
     with pytest.raises(CapacityError):
         is_universal(a, strategy=Strategy.GENERIC, max_nodes=2)
     with pytest.raises(CapacityError):
-        is_universal(a, strategy=Strategy.RPONFA_BOUNDED,
-                     max_representatives=3)
+        is_universal(a, strategy=Strategy.RPONFA_BOUNDED, max_nodes=2)
 
 
 def test_includes_and_direction():
@@ -192,6 +191,38 @@ def test_includes_and_direction():
     flipped = equivalent(everything, a)
     assert flipped.direction == "first-only"
     assert equivalent(a, build_a(2, 2)).holds
+
+
+def test_engines_return_the_same_witness():
+    rng = random.Random(7)
+    count = 0
+    while count < 300:
+        a = random_nfa(rng, rng.randint(3, 6), ("a", "b"))
+        b = random_rponfa(rng, rng.randint(2, 5), ("a", "b"))
+        flags = classify(b)
+        if not (flags.is_partially_ordered and flags.is_self_loop_deterministic):
+            continue
+        generic = includes(a, b, strategy=Strategy.GENERIC)
+        bounded = includes(a, b, strategy=Strategy.RPONFA_BOUNDED)
+        assert bounded.holds == generic.holds, count
+        assert bounded.witness == generic.witness, count
+        count += 1
+
+
+def test_class_depth_is_computed_once(monkeypatch):
+    import ponfa.decision
+
+    calls = []
+    original = ponfa.decision.depth
+
+    def counted(a):
+        calls.append(a)
+        return original(a)
+
+    monkeypatch.setattr(ponfa.decision, "depth", counted)
+    verdict = is_universal(build_a(2, 2))
+    assert not verdict.holds and verdict.witness == build_w(2, 2)
+    assert len(calls) == 1
 
 
 def test_includes_requires_identical_alphabets():
@@ -257,8 +288,8 @@ def test_auto_falls_back_beyond_a_machine_word(caplog, tmp_path, capsys):
     assert not verdict.holds and verdict.witness == ("x10",)
     assert any("falling back to the generic engine" in record.message
                for record in caplog.records)
-    with pytest.raises(CapacityError):
-        is_universal(chain, strategy=Strategy.RPONFA_BOUNDED)
+    explicit = is_universal(chain, strategy=Strategy.RPONFA_BOUNDED)
+    assert not explicit.holds and explicit.witness == ("x10",)
 
     path = tmp_path / "chain.json"
     path.write_text(serialize_automaton(chain))

@@ -7,8 +7,8 @@ import pytest
 from ponfa.core import accepts
 from ponfa.subseq import (class_dfa, enumerate_minimal_representatives,
                           is_minimal_representative,
-                          max_representative_length, rk_signature, sim_k,
-                          sim_rk, sub_k)
+                          max_representative_length, representative,
+                          rk_signature, sim_k, sim_rk, sub_k)
 
 
 def all_words(alphabet, max_len):
@@ -86,6 +86,19 @@ def test_minimal_representative_is_unique_shortest():
             minimal = [y for y in mates if is_minimal_representative(y, k)]
             assert len(minimal) == 1
             assert len(minimal[0]) == shortest
+
+
+def test_representative_is_the_minimal_class_member():
+    for word in all_words(("a", "b"), 6):
+        for k in range(4):
+            rep = representative(word, k)
+            assert is_minimal_representative(rep, k), (word, k)
+            # independently of SubseqSet: every kept letter grows sub_k
+            assert all(brute_subsequences(rep[:i], k)
+                       != brute_subsequences(rep[:i + 1], k)
+                       for i in range(len(rep))), (word, k)
+            assert sim_rk(rep, word, k), (word, k)
+            assert (rep == tuple(word)) == is_minimal_representative(word, k)
 
 
 def test_enumeration_in_length_then_lex_order():

@@ -9,6 +9,7 @@ from ponfa.core import Automaton, accepts, classify, depth
 from ponfa.decision import equivalent
 from ponfa.extremal import build_a, build_w
 from ponfa.ops import determinize, minimize
+from ponfa.subseq import is_minimal_representative, sim_rk
 from ponfa.triviality import (RExpression, is_k_r_trivial,
                               is_k_r_trivial_oracle, is_r_trivial,
                               r_expression_to_automaton,
@@ -174,6 +175,9 @@ def test_both_routes_agree():
                 for verdict in (fast, slow):
                     representative, good, bad = verdict.split_class
                     assert accepts(a, good) and not accepts(a, bad)
+                    assert is_minimal_representative(representative, k)
+                    assert sim_rk(representative, good, k)
+                    assert sim_rk(good, bad, k)
 
 
 def test_k_must_be_nonnegative():
@@ -203,6 +207,15 @@ def test_union_form_round_trip():
                 expect = accepts(a, word)
                 got = any(accepts(machine, word) for machine in rebuilt)
                 assert got == expect, (a.transitions, word)
+
+
+def test_union_form_of_a_long_chain():
+    states = [f"c{i}" for i in range(3000)]
+    transitions = {(q, "a"): [t] for q, t in zip(states, states[1:])}
+    chain = Automaton(("a",), states, [states[0]], [states[-1]], transitions)
+    (branch,) = rponfa_to_r_expressions(chain)
+    assert branch.letters == ("a",) * 2999
+    assert all(loop == frozenset() for loop in branch.loops)
 
 
 def test_union_form_rejects_unordered_input():
