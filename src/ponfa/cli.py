@@ -16,8 +16,7 @@ from typing import Optional, Sequence
 
 from .core import (Automaton, CapacityError, FormatError, Word, accepts,
                    classify, parse_automaton, parse_word, serialize_automaton)
-from .decision import (DEFAULT_BOUND_BUDGET, Strategy, equivalent, includes,
-                       is_universal)
+from .decision import Strategy, equivalent, includes, is_universal
 from .dre import is_dre_definable
 from .extremal import build_a, build_w, verify_extremal
 from .ops import DEFAULT_SUBSET_LIMIT
@@ -82,8 +81,7 @@ def _cmd_classify(args) -> CommandResult:
 def _cmd_universal(args) -> CommandResult:
     automaton = _load_automaton(args.automaton)
     decision = is_universal(automaton, strategy=args.strategy,
-                            max_nodes=args.max_subsets,
-                            bound_budget=args.max_bound)
+                            max_nodes=args.max_subsets)
     if decision.witness is not None:
         _check_witness(decision.witness, [], [automaton])
     return CommandResult(decision.holds, decision.witness)
@@ -93,8 +91,7 @@ def _cmd_include(args) -> CommandResult:
     first = _load_automaton(args.first)
     second = _load_automaton(args.second)
     decision = includes(first, second, strategy=args.strategy,
-                        max_nodes=args.max_subsets,
-                        bound_budget=args.max_bound)
+                        max_nodes=args.max_subsets)
     if decision.witness is not None:
         _check_witness(decision.witness, [first], [second])
     return CommandResult(decision.holds, decision.witness)
@@ -104,8 +101,7 @@ def _cmd_equal(args) -> CommandResult:
     first = _load_automaton(args.first)
     second = _load_automaton(args.second)
     decision = equivalent(first, second, strategy=args.strategy,
-                          max_nodes=args.max_subsets,
-                          bound_budget=args.max_bound)
+                          max_nodes=args.max_subsets)
     extra = {}
     if decision.witness is not None:
         if decision.direction == "first-only":
@@ -185,15 +181,12 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 
 def _add_decision_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--strategy", default="auto",
+    parser.add_argument("--strategy", default=Strategy.GENERIC.value,
                         choices=[s.value for s in Strategy],
-                        help="decision engine (default: auto)")
+                        help="decision engine (default: generic)")
     parser.add_argument("--max-subsets", type=int,
                         default=DEFAULT_SUBSET_LIMIT,
                         help="cap on explored subset-construction nodes")
-    parser.add_argument("--max-bound", type=int, default=DEFAULT_BOUND_BUDGET,
-                        help="largest representative bound the automatic "
-                             "strategy accepts before falling back")
 
 
 def _build_parser() -> argparse.ArgumentParser:

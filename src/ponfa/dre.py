@@ -23,7 +23,7 @@ import logging
 from collections import deque
 from dataclasses import dataclass
 
-from .core import (Automaton, _strongly_connected_components,
+from .core import (Automaton, CapacityError, _strongly_connected_components,
                    _edges_ignoring_self_loops, classify)
 from .ops import DEFAULT_SUBSET_LIMIT, determinize, minimize
 
@@ -181,7 +181,8 @@ def _definable(d: Automaton | None, depth: int, limit: int,
     if d is None or len(d.states) <= 1:
         return True
     if depth > limit:
-        raise RuntimeError("orbit recursion exceeded its depth guard")
+        raise CapacityError(f"orbit recursion reached depth {depth}, "
+                            f"beyond its guard of {limit}")
     key = _canonical_key(d)
     if key in cache:
         return cache[key]

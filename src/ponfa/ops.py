@@ -174,12 +174,12 @@ def shortest_word(starts: Iterable[Node], symbols: Sequence[str],
     order.  The search is breadth first over a FIFO queue with parent
     links, and tests the goal when a node is discovered.  Nodes first
     reached by the same word share one link and leave the queue as a
-    group whose successors are merged in symbol order, so the first
-    goal met closes the length-lex-least word also when several nodes
-    share a word.  A node is stored once; storing more than
-    ``max_nodes`` raises ``CapacityError``.
+    group.  The group's successors are gathered per symbol in group
+    order and read in symbol order, so the first goal met closes the
+    length-lex-least word also when several nodes share a word.  A
+    node is stored once; storing more than ``max_nodes`` raises
+    ``CapacityError``.
     """
-    rank = {symbol: i for i, symbol in enumerate(symbols)}
     parents: dict[Node, Optional[tuple[Node, str]]] = {}
     queue: deque[Node] = deque()
     for node in starts:
@@ -195,9 +195,13 @@ def shortest_word(starts: Iterable[Node], symbols: Sequence[str],
             group = [node]
             while queue and parents[queue[0]] is link:
                 group.append(queue.popleft())
-            pairs: Iterable[tuple[str, Node]] = sorted(
-                [pair for member in group for pair in successors(member)],
-                key=lambda pair: rank[pair[0]])
+            buckets: dict[str, list[Node]] = {}
+            for member in group:
+                for symbol, target in successors(member):
+                    buckets.setdefault(symbol, []).append(target)
+            pairs: Iterable[tuple[str, Node]] = [
+                (symbol, target) for symbol in symbols
+                for target in buckets.get(symbol, ())]
         else:   # the only case in deterministic searches
             pairs = successors(node)
         last = None

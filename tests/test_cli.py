@@ -1,10 +1,13 @@
 """End-to-end behavior of the command line interface."""
 
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
-from ponfa.cli import main
+from ponfa.cli import _build_parser, main
 from ponfa.core import parse_automaton, serialize_automaton
 from ponfa.extremal import build_a
 
@@ -51,7 +54,7 @@ def test_output_is_byte_stable(extremal_path, capsys):
 
 
 def test_strategy_flag(extremal_path, capsys):
-    for strategy in ("auto", "generic", "bounded"):
+    for strategy in ("generic", "bounded"):
         code, out, _ = run(capsys, "universal", extremal_path,
                            "--strategy", strategy)
         assert code == 0
@@ -194,3 +197,24 @@ def test_usage_errors_exit_one():
     with pytest.raises(SystemExit) as info:
         main(["no-such-command"])
     assert info.value.code == 1
+
+
+def test_readme_command_lines_parse():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text(encoding="utf-8").split("## Command line")[1]
+    section = section.split("\n## ")[0]
+    block = section.split("```sh\n")[1].split("```")[0]
+    parser = _build_parser()
+    exercised = set()
+    for line in block.splitlines():
+        tokens = shlex.split(line, comments=True)
+        if ">" in tokens:
+            tokens = tokens[:tokens.index(">")]
+        assert tokens[0] == "ponfa", line
+        try:
+            parser.parse_args(tokens[1:])
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {line}")
+        exercised.update(token for token in tokens if token.startswith("--"))
+    # a flag the prose names must appear on a command line that parses
+    assert set(re.findall(r"--[a-z][a-z-]*", section)) <= exercised

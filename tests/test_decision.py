@@ -1,4 +1,4 @@
-"""Universality, inclusion and equivalence under all four engines."""
+"""Universality, inclusion and equivalence under all three engines."""
 
 import itertools
 import json
@@ -103,8 +103,8 @@ def test_strategies_agree_on_rponfas():
             continue
         generic = is_universal(a, strategy=Strategy.GENERIC)
         bounded = is_universal(a, strategy=Strategy.RPONFA_BOUNDED)
-        auto = is_universal(a)
-        assert generic.holds == bounded.holds == auto.holds
+        default = is_universal(a)
+        assert generic.holds == bounded.holds == default.holds
         if not bounded.holds:
             assert not accepts(a, bounded.witness)
         count += 1
@@ -144,7 +144,7 @@ def test_explicit_engine_requirements():
         is_universal(cyclic, strategy=Strategy.RPONFA_BOUNDED)
 
 
-def test_auto_falls_back_when_the_bound_is_large(caplog):
+def test_long_chain_is_decided_without_warnings(caplog):
     states = [f"s{i}" for i in range(6)]
     transitions = {}
     for i in range(5):
@@ -154,17 +154,10 @@ def test_auto_falls_back_when_the_bound_is_large(caplog):
     with caplog.at_level(logging.WARNING, logger="ponfa.decision"):
         verdict = is_universal(chain)
     assert not verdict.holds and verdict.witness == ("a",) * 6
-    assert any("falling back to the generic engine" in record.message
-               for record in caplog.records)
-    caplog.clear()
-    with caplog.at_level(logging.WARNING, logger="ponfa.decision"):
-        bigger = is_universal(chain, bound_budget=27)
-    assert not bigger.holds
     assert not caplog.records
-    # an explicit engine choice never consults the budget
-    explicit = is_universal(chain, strategy=Strategy.RPONFA_BOUNDED,
-                            bound_budget=1)
+    explicit = is_universal(chain, strategy=Strategy.RPONFA_BOUNDED)
     assert explicit.holds == verdict.holds
+    assert explicit.witness == verdict.witness
 
 
 def test_capacity_limits_raise():
@@ -220,9 +213,31 @@ def test_class_depth_is_computed_once(monkeypatch):
         return original(a)
 
     monkeypatch.setattr(ponfa.decision, "depth", counted)
-    verdict = is_universal(build_a(2, 2))
+    verdict = is_universal(build_a(2, 2), strategy="bounded")
     assert not verdict.holds and verdict.witness == build_w(2, 2)
     assert len(calls) == 1
+
+
+def test_default_engine_does_not_classify(monkeypatch):
+    import ponfa.decision
+
+    calls = []
+
+    def counting(name):
+        original = getattr(ponfa.decision, name)
+
+        def counted(a):
+            calls.append(name)
+            return original(a)
+        return counted
+
+    for name in ("classify", "depth"):
+        monkeypatch.setattr(ponfa.decision, name, counting(name))
+    for a in (build_a(2, 2), wide_chain(100, 20)):
+        assert not is_universal(a).holds
+        assert includes(a, a).holds
+        assert equivalent(a, a).holds
+    assert calls == []
 
 
 def test_includes_requires_identical_alphabets():
@@ -276,18 +291,15 @@ def wide_chain(length, width):
     return Automaton(alphabet, states, [states[0]], states[::2], transitions)
 
 
-def test_auto_falls_back_beyond_a_machine_word(caplog, tmp_path, capsys):
+def test_wide_chain_beyond_a_machine_word(tmp_path, capsys):
     from ponfa.cli import main
     from ponfa.core import serialize_automaton
 
     chain = wide_chain(100, 20)
     assert classify(chain).is_self_loop_deterministic
-    with caplog.at_level(logging.WARNING, logger="ponfa.decision"):
-        verdict = is_universal(chain)
+    verdict = is_universal(chain)
     # c0 loops on x0..x9 and x10 leads to the rejecting c1
     assert not verdict.holds and verdict.witness == ("x10",)
-    assert any("falling back to the generic engine" in record.message
-               for record in caplog.records)
     explicit = is_universal(chain, strategy=Strategy.RPONFA_BOUNDED)
     assert not explicit.holds and explicit.witness == ("x10",)
 

@@ -5,10 +5,10 @@ import random
 
 import pytest
 
-from ponfa.core import Automaton, classify
-from ponfa.dre import has_orbit_property, is_dre_definable, orbits
+from ponfa.core import Automaton, CapacityError, classify
+from ponfa.dre import _definable, has_orbit_property, is_dre_definable, orbits
 from ponfa.extremal import build_a
-from ponfa.ops import determinize, minimize
+from ponfa.ops import DEFAULT_SUBSET_LIMIT, determinize, minimize
 from ponfa.triviality import is_r_trivial
 
 
@@ -65,6 +65,12 @@ def test_orbit_decomposition_shape():
 def test_orbits_require_determinism():
     with pytest.raises(ValueError):
         orbits(second_last_b())
+
+
+def test_depth_guard_raises_capacity_error():
+    with pytest.raises(CapacityError,
+                       match="reached depth 3, beyond its guard of 2"):
+        _definable(loop_plus(), 3, 2, DEFAULT_SUBSET_LIMIT, {})
 
 
 def test_single_state_universal_language():
