@@ -8,11 +8,23 @@ is the finer one; its classes are regular and each class contains a
 unique shortest word, obtained by dropping letters that do not grow
 the subsequence set.
 
-Everything here is driven by the one-letter update
+The searches never build sub_k(w).  They keep its level vector: for
+each letter a, level(a) is the largest j <= k with
+sub_j(wa) = sub_j(w), and 0 when a does not occur in w.  Reading a
+letter a with L = level(a) grows sub_k(w) exactly when L < k, and
+updates the vector by
 
-    sub_k(wa) = sub_k(w) united with { ua : u in sub_k(w), |u| < k }
+    level(a) becomes min(L + 1, k),
+    level(b) becomes min(level(b), L + 1) for every other letter b.
 
-which makes the subsequence set of each prefix cheap to maintain.
+The vector is a function of sub_k(w) that fixes all future growth, so
+it can stand in for the set as a search key.  ``SubseqSet``, ``sub_k``,
+``sim_k``, ``sim_rk`` and ``rk_signature`` build the sets themselves,
+with the one-letter update
+
+    sub_k(wa) = sub_k(w) united with { ua : u in sub_k(w), |u| < k },
+
+and are the definitional reference for the level vector.
 """
 
 from __future__ import annotations
@@ -102,6 +114,17 @@ def sim_rk(x: Sequence[str], y: Sequence[str], k: int) -> bool:
     return prefix_sets(x) == prefix_sets(y)
 
 
+def _read(levels: tuple[int, ...], index: int, k: int) -> tuple[int, ...]:
+    """Level vector after reading the letter at ``index``, or
+    ``levels`` itself when that letter does not grow sub_k."""
+    cap = levels[index] + 1
+    if cap > k:
+        return levels
+    grown = [min(level, cap) for level in levels]
+    grown[index] = cap
+    return tuple(grown)
+
+
 def is_minimal_representative(word: Sequence[str], k: int) -> bool:
     """True when every letter strictly grows the subsequence set.
 
@@ -115,13 +138,16 @@ def representative(word: Sequence[str], k: int) -> Word:
     """The unique shortest member of the prefix-k-equivalence class of
     ``word``: the word without the letters that do not grow its
     subsequence set."""
-    current = sub_k((), k)
+    if k < 0:
+        raise ValueError("k must be nonnegative")
+    index = {symbol: i for i, symbol in enumerate(dict.fromkeys(word))}
+    levels = (0,) * len(index)
     kept: list[str] = []
     for symbol in word:
-        grown = current.extend(symbol)
-        if grown is not current:
+        grown = _read(levels, index[symbol], k)
+        if grown is not levels:
             kept.append(symbol)
-            current = grown
+            levels = grown
     return tuple(kept)
 
 
@@ -131,21 +157,27 @@ def class_search(left: Automaton, right: Automaton, k: int,
     """Length-lex-least word w with ``is_goal(subset of left after w,
     subset of right after representative(w, k))``, or None.
 
-    ``shortest_word`` runs over nodes (left subset, right subset,
-    sub_k(w)).  The right side moves only on letters that grow sub_k(w),
-    so it reads the representative.  Each node is a function of its
-    word, so the search is deterministic.
+    ``shortest_word`` runs over nodes (left subset, right subset, level
+    vector of w), the vector indexed by alphabet position.  The right
+    side moves only on letters that grow sub_k(w), so it reads the
+    representative.  A node fixes the nodes of every extension, so
+    words reaching the same node are interchangeable; each node is a
+    function of its word, so the search is deterministic.
     """
+    if k < 0:
+        raise ValueError("k must be nonnegative")
+    symbols = left.alphabet
+
     def successors(node):
-        on_left, on_right, current = node
-        for symbol in left.alphabet:
-            grown = current.extend(symbol)
+        on_left, on_right, levels = node
+        for index, symbol in enumerate(symbols):
+            grown = _read(levels, index, k)
             yield symbol, (left.move(on_left, symbol),
-                           on_right if grown is current
+                           on_right if grown is levels
                            else right.move(on_right, symbol), grown)
 
-    start = (left.initial, right.initial, sub_k((), k))
-    return shortest_word([start], left.alphabet, successors,
+    start = (left.initial, right.initial, (0,) * len(symbols))
+    return shortest_word([start], symbols, successors,
                          lambda node: is_goal(node[0], node[1]), max_nodes)
 
 
@@ -162,21 +194,23 @@ def enumerate_minimal_representatives(alphabet: Sequence[str], k: int,
     Minimal representatives are closed under prefixes, so the
     enumeration extends shorter ones letter by letter.
     """
+    if k < 0:
+        raise ValueError("k must be nonnegative")
     if len(set(alphabet)) != len(alphabet):
         raise ValueError("alphabet contains duplicate symbols")
-    level: list[tuple[Word, SubseqSet]] = [((), sub_k((), k))]
+    layer: list[tuple[Word, tuple[int, ...]]] = [((), (0,) * len(alphabet))]
     yield ()
     length = 0
-    while level and length < max_len:
-        nxt: list[tuple[Word, SubseqSet]] = []
-        for word, current in level:
-            for symbol in alphabet:
-                grown = current.extend(symbol)
-                if grown != current:
+    while layer and length < max_len:
+        nxt: list[tuple[Word, tuple[int, ...]]] = []
+        for word, levels in layer:
+            for index, symbol in enumerate(alphabet):
+                grown = _read(levels, index, k)
+                if grown is not levels:
                     extended = word + (symbol,)
                     yield extended
                     nxt.append((extended, grown))
-        level = nxt
+        layer = nxt
         length += 1
 
 
@@ -192,31 +226,33 @@ def class_dfa(word: Sequence[str], k: int, alphabet: Sequence[str]) -> Automaton
     advances; letters that leave the subsequence set unchanged loop;
     everything else falls into a rejecting sink.  Minimality of the
     input makes the advancing letter and the looping letters disjoint,
-    so the automaton is deterministic.
+    so the automaton is deterministic.  The looping letters are those
+    at level k in the level vector of the prefix.
     """
     w = tuple(word)
     if not is_minimal_representative(w, k):
         raise ValueError("class_dfa requires a minimal representative")
+    position = {symbol: index for index, symbol in enumerate(alphabet)}
     for symbol in w:
-        if symbol not in set(alphabet):
+        if symbol not in position:
             raise ValueError(f"word symbol {symbol!r} outside the alphabet")
-    prefix_sets = [sub_k((), k)]
-    for symbol in w:
-        prefix_sets.append(prefix_sets[-1].extend(symbol))
     states = [_prefix_name(w[:i]) for i in range(len(w) + 1)]
     transitions: dict[tuple[str, str], frozenset[str]] = {}
     sink_needed = False
     sink = "sink"
+    levels = (0,) * len(alphabet)
     for i in range(len(w) + 1):
-        for symbol in alphabet:
+        for index, symbol in enumerate(alphabet):
             if i < len(w) and symbol == w[i]:
                 target = states[i + 1]
-            elif prefix_sets[i].extend(symbol) == prefix_sets[i]:
+            elif levels[index] == k:
                 target = states[i]
             else:
                 target = sink
                 sink_needed = True
             transitions[(states[i], symbol)] = frozenset((target,))
+        if i < len(w):
+            levels = _read(levels, position[w[i]], k)
     if sink_needed:
         states.append(sink)
         for symbol in alphabet:

@@ -93,6 +93,15 @@ def test_extremal_automaton_witness():
     assert verdict.witness == build_w(2, 2)
 
 
+def test_bounded_search_fits_in_its_node_budget():
+    # the searches store 1,277 and 4,446 nodes
+    for k, n, budget in ((3, 3, 5000), (2, 4, 10_000)):
+        verdict = is_universal(build_a(k, n), strategy="bounded",
+                               max_nodes=budget)
+        assert not verdict.holds
+        assert verdict.witness == build_w(k, n)
+
+
 def test_strategies_agree_on_rponfas():
     rng = random.Random(13)
     count = 0

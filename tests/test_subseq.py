@@ -5,7 +5,9 @@ import itertools
 import pytest
 
 from ponfa.core import accepts
-from ponfa.subseq import (class_dfa, enumerate_minimal_representatives,
+from ponfa.extremal import build_a
+from ponfa.subseq import (_read, class_dfa, class_search,
+                          enumerate_minimal_representatives,
                           is_minimal_representative,
                           max_representative_length, representative,
                           rk_signature, sim_k, sim_rk, sub_k)
@@ -38,6 +40,50 @@ def test_sub_k_rejects_negative_bound():
 def test_sub_k_zero_sees_only_the_empty_word():
     assert sub_k(("a", "b", "a"), 0).members == ((),)
     assert sim_k(("a",), ("b", "b"), 0)
+
+
+def test_negative_bound_is_rejected_everywhere():
+    a = build_a(1, 1)
+    calls = [
+        lambda: representative(("a",), -1),
+        lambda: is_minimal_representative(("a",), -1),
+        lambda: class_search(a, a, -1, lambda here, there: False, 100),
+        lambda: list(enumerate_minimal_representatives(("a",), -1, 2)),
+        lambda: class_dfa((), -1, ("a",)),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError):
+            call()
+
+
+def test_level_vector_against_subseq_sets():
+    """Reading a letter into the level vector agrees with SubseqSet on
+    the growth flag, on the letter's level, and on the representative
+    that the growth flags spell, for every word up to the given length
+    and every k <= 4."""
+    steps = 0
+    for alphabet, max_len in ((("a",), 8), (("a", "b"), 8),
+                              (("a", "b", "c"), 6)):
+        for k in range(5):
+            stack = [((), (), sub_k((), k), (0,) * len(alphabet))]
+            while stack:
+                word, rep, current, levels = stack.pop()
+                assert representative(word, k) == rep, (word, k)
+                if len(word) == max_len:
+                    continue
+                for index, symbol in enumerate(alphabet):
+                    grown = current.extend(symbol)
+                    after = _read(levels, index, k)
+                    assert (after is not levels) == (grown is not current)
+                    # sub_j(wa) = sub_j(w) up to the shortest new member
+                    new = set(grown.members) - set(current.members)
+                    level = min(map(len, new)) - 1 if new else k
+                    assert levels[index] == level, (word, symbol, k)
+                    stack.append((word + (symbol,),
+                                  rep + (symbol,) if after is not levels
+                                  else rep, grown, after))
+                    steps += 1
+    assert steps == 5 * (8 + 510 + 1092)
 
 
 def test_sim_k_examples():
@@ -146,3 +192,7 @@ def test_class_dfa_accepts_exactly_the_class():
 def test_class_dfa_rejects_non_minimal_input():
     with pytest.raises(ValueError):
         class_dfa(("a", "a"), 1, ("a", "b"))
+    # the fifth letter adds nothing: abab holds every word of length 2
+    class_dfa(("a", "b", "a", "b"), 2, ("a", "b"))
+    with pytest.raises(ValueError):
+        class_dfa(("a", "b", "a", "b", "a"), 2, ("a", "b"))

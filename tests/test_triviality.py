@@ -10,7 +10,7 @@ from ponfa.decision import equivalent
 from ponfa.extremal import build_a, build_w
 from ponfa.ops import determinize, minimize
 from ponfa.subseq import is_minimal_representative, sim_rk
-from ponfa.triviality import (RExpression, is_k_r_trivial,
+from ponfa.triviality import (RExpression, TrivialityVerdict, is_k_r_trivial,
                               is_k_r_trivial_oracle, is_r_trivial,
                               r_expression_to_automaton,
                               rponfa_to_r_expressions)
@@ -178,6 +178,17 @@ def test_both_routes_agree():
                     assert is_minimal_representative(representative, k)
                     assert sim_rk(representative, good, k)
                     assert sim_rk(good, bad, k)
+
+
+def test_counted_ladder_at_large_bounds():
+    # the split word (a b)^k a has length 2k + 1, and every bound up to k
+    # runs one class search
+    expected = is_k_r_trivial_oracle(loop_plus(), 4)
+    assert is_k_r_trivial(loop_plus(), 4) == expected
+    for k in (4, 10, 20):
+        ab = ("a", "b") * k
+        assert is_k_r_trivial(loop_plus(), k) == TrivialityVerdict(
+            False, k_used=k, split_class=(ab, ab + ("a",), ab))
 
 
 def test_k_must_be_nonnegative():
