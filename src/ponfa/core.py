@@ -340,18 +340,19 @@ def classify(a: Automaton) -> AutomatonClass:
     return AutomatonClass(label, complete, deterministic, ordered, loop_det)
 
 
-def complete_automaton(a: Automaton, sink_name: str = "sink") -> Automaton:
+def complete_automaton(a: Automaton) -> Automaton:
     """Add a nonaccepting sink state for all missing moves.
 
     Returns the automaton unchanged when it is already complete.  The
-    sink only carries self-loops, so partial order and self-loop
+    sink is named ``sink``, with ``'`` appended while that name is
+    taken.  It only carries self-loops, so partial order and self-loop
     determinism survive completion.
     """
     missing = [(q, sym) for q in a.states for sym in a.alphabet
                if not a.step(q, sym)]
     if not missing:
         return a
-    sink = sink_name
+    sink = "sink"
     while sink in a._state_index:
         sink = sink + "'"
     transitions: dict[tuple[str, str], frozenset[str]] = dict(a.transitions)
@@ -367,28 +368,15 @@ def depth(a: Automaton) -> int:
     """Length of the longest self-loop-free path from an initial state.
 
     Only defined for partially ordered automata; the length counts
-    transitions, not states.
+    transitions, not states.  The components come in reverse
+    topological order, so every target's longest path is known before
+    its sources are reached.
     """
-    if not is_partially_ordered(a):
-        raise ValueError("depth requires a partially ordered automaton")
     edges = _edges_ignoring_self_loops(a)
-    memo: dict[str, int] = {}
-
-    def longest(q: str) -> int:
-        if q in memo:
-            return memo[q]
-        memo[q] = 0  # placeholder, cycles are impossible here
-        best = 0
-        for t in edges[q]:
-            best = max(best, 1 + longest(t))
-        memo[q] = best
-        return best
-
-    order = []
+    longest: dict[str, int] = {}
     for component in _strongly_connected_components(a.states, edges):
-        order.extend(component)
-    # reverse topological order lets the memo fill bottom-up without
-    # hitting Python's recursion limit on long chains
-    for q in order:
-        longest(q)
-    return max((longest(q) for q in a.initial), default=0)
+        if len(component) > 1:
+            raise ValueError("depth requires a partially ordered automaton")
+        (q,) = component
+        longest[q] = max((1 + longest[t] for t in edges[q]), default=0)
+    return max((longest[q] for q in a.initial), default=0)

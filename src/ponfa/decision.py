@@ -47,12 +47,6 @@ class Strategy(Enum):
     RPONFA_BOUNDED = "bounded"
 
 
-def _as_strategy(value: "Strategy | str") -> Strategy:
-    if isinstance(value, Strategy):
-        return value
-    return Strategy(value)
-
-
 def _absorbing_accepting(a: Automaton) -> frozenset[str]:
     """Accepting states that persist under every symbol.  A subset
     containing one can never lead to a rejected word, which prunes the
@@ -90,7 +84,7 @@ def _decide(left: Optional[Automaton], right: Automaton,
             strategy: "Strategy | str", max_nodes: int) -> Decision:
     """Is L(left) ⊆ L(right)?  ``left`` None stands for Σ* over the
     alphabet of ``right``."""
-    engine = _as_strategy(strategy)
+    engine = Strategy(strategy)
     if engine is Strategy.GENERIC:
         return _includes_generic(left, right, max_nodes)
     k = _choose(engine, left, right)

@@ -24,8 +24,9 @@ from collections import deque
 from dataclasses import dataclass
 
 from .core import (Automaton, CapacityError, _strongly_connected_components,
-                   _edges_ignoring_self_loops, classify)
-from .ops import DEFAULT_SUBSET_LIMIT, determinize, minimize
+                   _edges_ignoring_self_loops)
+from .ops import (DEFAULT_SUBSET_LIMIT, co_reachable_states, determinize,
+                  minimize)
 
 logger = logging.getLogger(__name__)
 
@@ -50,7 +51,9 @@ def orbits(d: Automaton) -> OrbitDecomposition:
     """Orbit decomposition of a deterministic automaton.  A state with
     only a self-loop is its own orbit; so is a state with no cycle at
     all, the two differing only in their orbit language."""
-    if not classify(d).is_deterministic:
+    # checked here, not through classify, which would add a second
+    # component pass
+    if len(d.initial) != 1 or any(len(t) > 1 for t in d.transitions.values()):
         raise ValueError("orbit analysis requires a deterministic automaton")
     components = _strongly_connected_components(
         d.states, _edges_ignoring_self_loops(d))
@@ -68,7 +71,10 @@ def orbits(d: Automaton) -> OrbitDecomposition:
 def has_orbit_property(d: Automaton) -> bool:
     """True when, in every orbit, all gates agree: same acceptance
     status, and on each symbol the same targets outside the orbit."""
-    decomposition = orbits(d)
+    return _gates_agree(d, orbits(d))
+
+
+def _gates_agree(d: Automaton, decomposition: OrbitDecomposition) -> bool:
     for orbit, gates in zip(decomposition.orbits, decomposition.gates):
         ordered = sorted(gates, key=d.state_index)
         if len(ordered) < 2:
@@ -88,18 +94,7 @@ def has_orbit_property(d: Automaton) -> bool:
 def _trim(d: Automaton) -> Automaton | None:
     """Drop states that cannot reach an accepting state, or None when
     none remains reachable (the empty language)."""
-    inverse: dict[str, set[str]] = {q: set() for q in d.states}
-    for (source, _symbol), targets in d.transitions.items():
-        for target in targets:
-            inverse[target].add(source)
-    useful = set(d.accepting)
-    frontier = list(d.accepting)
-    while frontier:
-        state = frontier.pop()
-        for source in inverse[state]:
-            if source not in useful:
-                useful.add(source)
-                frontier.append(source)
+    useful = co_reachable_states(d)
     initial = [q for q in d.initial if q in useful]
     if not initial:
         return None
@@ -207,7 +202,7 @@ def _orbit_languages_definable(d: Automaton,
 def _definable_uncached(d: Automaton, depth: int, limit: int,
                         max_subsets: int, cache: dict) -> bool:
     decomposition = orbits(d)
-    if not has_orbit_property(d):
+    if not _gates_agree(d, decomposition):
         return False
     if len(decomposition.orbits) > 1:
         return _orbit_languages_definable(d, decomposition, depth, limit,
@@ -223,7 +218,7 @@ def _definable_uncached(d: Automaton, depth: int, limit: int,
             "strongly connected automaton with %d states survives its cut; "
             "deciding not definable", len(d.states))
         return False
-    if not has_orbit_property(cut):
+    if not _gates_agree(cut, cut_decomposition):
         return False
     return _orbit_languages_definable(cut, cut_decomposition, depth, limit,
                                       max_subsets, cache)

@@ -11,7 +11,8 @@ from collections import deque
 from typing import (Callable, Hashable, Iterable, Optional, Sequence, TypeVar,
                     Union)
 
-from .core import Automaton, CapacityError, Decision, Word
+from .core import (Automaton, CapacityError, Decision, Word,
+                   _strongly_connected_components)
 
 DEFAULT_SUBSET_LIMIT = 1 << 20
 
@@ -21,9 +22,50 @@ LanguageSize = Union[int, float]
 Node = TypeVar("Node", bound=Hashable)
 
 
-def _subset_name(a: Automaton, subset: frozenset[str]) -> str:
+def _claim(name: str, taken: set[str]) -> str:
+    """``name`` with ``'`` appended until it is not in ``taken``, then
+    added to it.  A generated name only changes when member names with
+    commas make two constructed states spell the same."""
+    while name in taken:
+        name += "'"
+    taken.add(name)
+    return name
+
+
+def _subset_name(a: Automaton, subset: frozenset[str],
+                 taken: set[str]) -> str:
     members = sorted(subset, key=a.state_index)
-    return "{" + ",".join(members) + "}"
+    return _claim("{" + ",".join(members) + "}", taken)
+
+
+def reachable_states(a: Automaton) -> list[str]:
+    """States reachable from an initial state, in breadth-first order."""
+    order = sorted(a.initial, key=a.state_index)
+    seen = set(order)
+    for q in order:     # the list grows while it is read
+        for sym in a.alphabet:
+            for t in a.step(q, sym):
+                if t not in seen:
+                    seen.add(t)
+                    order.append(t)
+    return order
+
+
+def co_reachable_states(a: Automaton) -> set[str]:
+    """States from which an accepting state can be reached."""
+    inverse: dict[str, set[str]] = {q: set() for q in a.states}
+    for (source, _symbol), targets in a.transitions.items():
+        for target in targets:
+            inverse[target].add(source)
+    useful = set(a.accepting)
+    frontier = list(a.accepting)
+    while frontier:
+        state = frontier.pop()
+        for source in inverse[state]:
+            if source not in useful:
+                useful.add(source)
+                frontier.append(source)
+    return useful
 
 
 def determinize(a: Automaton, max_subsets: int = DEFAULT_SUBSET_LIMIT) -> Automaton:
@@ -34,7 +76,8 @@ def determinize(a: Automaton, max_subsets: int = DEFAULT_SUBSET_LIMIT) -> Automa
     ``max_subsets`` distinct subsets raises ``CapacityError``.
     """
     start = a.initial
-    names: dict[frozenset[str], str] = {start: _subset_name(a, start)}
+    taken: set[str] = set()
+    names: dict[frozenset[str], str] = {start: _subset_name(a, start, taken)}
     order: list[frozenset[str]] = [start]
     transitions: dict[tuple[str, str], frozenset[str]] = {}
     queue = deque([start])
@@ -46,7 +89,7 @@ def determinize(a: Automaton, max_subsets: int = DEFAULT_SUBSET_LIMIT) -> Automa
                 if len(names) >= max_subsets:
                     raise CapacityError(
                         f"subset construction exceeded {max_subsets} states")
-                names[target] = _subset_name(a, target)
+                names[target] = _subset_name(a, target, taken)
                 order.append(target)
                 queue.append(target)
             transitions[(names[subset], sym)] = frozenset((names[target],))
@@ -75,17 +118,7 @@ def minimize(d: Automaton) -> Automaton:
     """
     _require_complete_dfa(d, "minimize")
     (start,) = d.initial
-    reachable: list[str] = [start]
-    seen = {start}
-    i = 0
-    while i < len(reachable):
-        q = reachable[i]
-        i += 1
-        for sym in d.alphabet:
-            (t,) = d.step(q, sym)
-            if t not in seen:
-                seen.add(t)
-                reachable.append(t)
+    reachable = reachable_states(d)
     # refine the accepting / rejecting split until transitions respect it
     block_of = {q: (q in d.accepting) for q in reachable}
     while True:
@@ -108,10 +141,11 @@ def minimize(d: Automaton) -> Automaton:
     members: dict[int, list[str]] = {}
     for q in reachable:
         members.setdefault(block_of[q], []).append(q)
-    names = {block: _subset_name(d, frozenset(qs))
-             for block, qs in members.items()}
     ordered_blocks = sorted(members, key=lambda b: min(d.state_index(q)
                                                        for q in members[b]))
+    taken: set[str] = set()
+    names = {block: _subset_name(d, frozenset(members[block]), taken)
+             for block in ordered_blocks}
     transitions = {}
     for block in ordered_blocks:
         representative = members[block][0]
@@ -138,7 +172,8 @@ def product_intersection(a: Automaton, b: Automaton) -> Automaton:
         raise ValueError("product requires identical alphabets")
     start = [(p, q) for p in sorted(a.initial, key=a.state_index)
              for q in sorted(b.initial, key=b.state_index)]
-    names = {pair: f"({pair[0]},{pair[1]})" for pair in start}
+    taken: set[str] = set()
+    names = {pair: _claim(f"({pair[0]},{pair[1]})", taken) for pair in start}
     order = list(start)
     transitions: dict[tuple[str, str], set[str]] = {}
     queue = deque(start)
@@ -151,7 +186,7 @@ def product_intersection(a: Automaton, b: Automaton) -> Automaton:
                 for tb in targets_b:
                     pair = (ta, tb)
                     if pair not in names:
-                        names[pair] = f"({ta},{tb})"
+                        names[pair] = _claim(f"({ta},{tb})", taken)
                         order.append(pair)
                         queue.append(pair)
                     transitions.setdefault((names[(p, q)], sym),
@@ -250,97 +285,22 @@ def count_language_size(d: Automaton) -> LanguageSize:
     Requires a complete deterministic input.  The language is infinite
     exactly when a cycle lies on some path from the initial state to an
     accepting state; otherwise accepted words correspond one-to-one to
-    paths through the useful part, which is a DAG.
+    paths through the useful part, which is a DAG.  Its components come
+    in reverse topological order, so a state's count is summed from
+    targets already counted.
     """
     _require_complete_dfa(d, "count_language_size")
     (start,) = d.initial
-    reachable = {start}
-    queue = deque([start])
-    while queue:
-        q = queue.popleft()
-        for sym in d.alphabet:
-            (t,) = d.step(q, sym)
-            if t not in reachable:
-                reachable.add(t)
-                queue.append(t)
-    predecessors: dict[str, set[str]] = {q: set() for q in d.states}
-    for q in reachable:
-        for sym in d.alphabet:
-            (t,) = d.step(q, sym)
-            predecessors[t].add(q)
-    co_reachable = set(q for q in d.accepting if q in reachable)
-    queue = deque(co_reachable)
-    while queue:
-        q = queue.popleft()
-        for p in predecessors[q]:
-            if p not in co_reachable:
-                co_reachable.add(p)
-                queue.append(p)
-    useful = reachable & co_reachable
-    if not useful:
-        return 0
-    edges: dict[str, list[str]] = {q: [] for q in useful}
-    for q in useful:
-        for sym in d.alphabet:
-            (t,) = d.step(q, sym)
-            if t in useful:
-                edges[q].append(t)
-
-    # cycle check on the useful part, self-loops included
-    state_color: dict[str, int] = {}
-
-    def has_cycle(root: str) -> bool:
-        stack = [(root, iter(edges[root]))]
-        state_color[root] = 1
-        while stack:
-            q, it = stack[-1]
-            advanced = False
-            for t in it:
-                if state_color.get(t, 0) == 1:
-                    return True
-                if t not in state_color:
-                    state_color[t] = 1
-                    stack.append((t, iter(edges[t])))
-                    advanced = True
-                    break
-            if not advanced:
-                state_color[q] = 2
-                stack.pop()
-        return False
-
-    for q in useful:
-        if q not in state_color and has_cycle(q):
-            return INFINITE
-
-    counts: dict[str, int] = {}
-    order: list[str] = []
-    mark: set[str] = set()
-    done: set[str] = set()
-
-    def topo(root: str) -> None:
-        stack = [(root, iter(edges[root]))]
-        mark.add(root)
-        while stack:
-            q, it = stack[-1]
-            advanced = False
-            for t in it:
-                if t not in mark:
-                    mark.add(t)
-                    stack.append((t, iter(edges[t])))
-                    advanced = True
-                    break
-            if not advanced:
-                stack.pop()
-                if q not in done:
-                    done.add(q)
-                    order.append(q)
-
+    useful = set(reachable_states(d)) & co_reachable_states(d)
     if start not in useful:
         return 0
-    topo(start)
-    for q in order:
-        total = 1 if q in d.accepting else 0
-        for t in edges[q]:
-            total += counts[t]
-        counts[q] = total
+    # one edge per symbol: two symbols to one target are two words
+    edges = {q: [t for sym in d.alphabet for t in d.step(q, sym)
+                 if t in useful] for q in useful}
+    counts: dict[str, int] = {}
+    for component in _strongly_connected_components([start], edges):
+        q = component[0]
+        if len(component) > 1 or q in edges[q]:
+            return INFINITE
+        counts[q] = (q in d.accepting) + sum(counts[t] for t in edges[q])
     return counts[start]

@@ -18,7 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .core import (Automaton, CapacityError, Word, accepts, classify)
+from .core import (Automaton, CapacityError, Word,
+                   _edges_ignoring_self_loops, _strongly_connected_components,
+                   accepts, classify)
 from .ops import (DEFAULT_SUBSET_LIMIT, determinize, minimize, moves,
                   shortest_word)
 from .subseq import SubseqSet, class_search, representative, sub_k
@@ -87,12 +89,10 @@ def is_r_trivial(a: Automaton) -> TrivialityVerdict:
     the shortest of their kind, ties broken by alphabet order.
     """
     minimal = minimize(determinize(a))
-    if classify(minimal).is_partially_ordered:
+    cyclic = [c for c in _strongly_connected_components(
+        minimal.states, _edges_ignoring_self_loops(minimal)) if len(c) > 1]
+    if not cyclic:
         return TrivialityVerdict(True)
-    from .core import _edges_ignoring_self_loops, _strongly_connected_components
-    edges = _edges_ignoring_self_loops(minimal)
-    components = _strongly_connected_components(minimal.states, edges)
-    cyclic = [c for c in components if len(c) > 1]
     component = frozenset(min(cyclic,
                               key=lambda c: min(minimal.state_index(q) for q in c)))
     anchor = min(component, key=minimal.state_index)

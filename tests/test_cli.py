@@ -160,6 +160,20 @@ def test_dre(extremal_path, capsys):
     assert code == 0 and json.loads(out) == {"result": True}
 
 
+def test_state_names_with_commas_do_not_collide(tmp_path, capsys):
+    # determinizing gives {q, r} and {"q,r"}, which both spell {q,r}
+    path = tmp_path / "commas.json"
+    path.write_text(json.dumps({
+        "alphabet": ["x", "y"], "states": ["s", "q", "r", "q,r"],
+        "initial": ["s"], "accepting": ["q"],
+        "transitions": [["s", "x", "q"], ["s", "x", "r"], ["s", "y", "q,r"]],
+    }))
+    for command in ("rtrivial", "dre"):
+        code, out, err = run(capsys, command, str(path))
+        assert (code, err) == (0, "")
+        assert json.loads(out) == {"result": True}
+
+
 def test_verify_extremal(capsys):
     code, out, _ = run(capsys, "verify-extremal", "2", "2", "--minimize")
     payload = json.loads(out)

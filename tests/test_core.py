@@ -1,5 +1,7 @@
 """Automaton data type, JSON round trips, classification, depth."""
 
+import random
+
 import pytest
 
 from ponfa.core import (Automaton, AutomatonKind, FormatError, accepts,
@@ -192,3 +194,54 @@ def test_depth_handles_long_chains_without_recursion():
     long_chain = Automaton(("a",), states, [states[0]], [states[-1]],
                            transitions)
     assert depth(long_chain) == count - 1
+
+
+def brute_depth(a):
+    """Longest simple path from an initial state, self-loops ignored, by
+    walking every simple path; None when some other cycle exists."""
+    longest = 0
+    cyclic = False
+
+    def walk(path):
+        nonlocal longest, cyclic
+        if path[0] in a.initial:
+            longest = max(longest, len(path) - 1)
+        for symbol in a.alphabet:
+            for t in a.step(path[-1], symbol):
+                if t in path[:-1]:
+                    cyclic = True
+                elif t != path[-1]:
+                    walk(path + [t])
+
+    for q in a.states:
+        walk([q])
+    return None if cyclic else longest
+
+
+def test_depth_matches_brute_force():
+    rng = random.Random(29)
+    ordered = 0
+    for trial in range(300):
+        n = rng.randint(1, 6)
+        alphabet = ("a", "b")[:rng.randint(1, 2)]
+        rank = [f"s{i}" for i in range(n)]
+        transitions = {}
+        for i, q in enumerate(rank):
+            # even trials move only to later states or loop, so they are
+            # partially ordered; odd trials may move anywhere
+            pool = rank[i:] if trial % 2 == 0 else rank
+            for symbol in alphabet:
+                if rng.random() < 0.7:
+                    transitions[(q, symbol)] = rng.sample(
+                        pool, min(len(pool), rng.randint(1, 2)))
+        states = rng.sample(rank, n)
+        initial = rng.sample(rank, rng.randint(0, min(n, 2)))
+        a = Automaton(alphabet, states, initial, [], transitions)
+        expected = brute_depth(a)
+        if expected is None:
+            with pytest.raises(ValueError):
+                depth(a)
+        else:
+            assert depth(a) == expected, trial
+            ordered += 1
+    assert 150 <= ordered < 300

@@ -126,6 +126,22 @@ def test_product_intersection():
         product_intersection(a, Automaton(("x",), ("p",), ["p"], [], {}))
 
 
+def test_generated_names_stay_unique_when_state_names_hold_commas():
+    # {q, r} and {"q,r"} both spell {q,r}; the one met second gets a prime
+    a = Automaton(("x", "y"), ("s", "q", "r", "q,r"), ["s"], ["q"],
+                  {("s", "x"): ["q", "r"], ("s", "y"): ["q,r"]})
+    d = determinize(a)
+    assert d.states == ("{s}", "{q,r}", "{q,r}'", "{}")
+    assert same_language_to(a, d, 3)
+    assert minimize(d).states == ("{{s}}", "{{q,r}}", "{{q,r}',{}}")
+    # the pairs (p,q | r) and (p | q,r) both spell (p,q,r)
+    left = Automaton(("a",), ("p,q", "p"), ["p,q", "p"], ["p"], {})
+    right = Automaton(("a",), ("r", "q,r"), ["r", "q,r"], ["r"], {})
+    both = product_intersection(left, right)
+    assert both.states == ("(p,q,r)", "(p,q,q,r)", "(p,r)", "(p,q,r)'")
+    assert both.accepting == {"(p,r)"}
+
+
 def test_is_empty_finds_least_shortest_witness():
     a = Automaton(("a", "b"), ("p", "q", "r"), ["p"], ["r"],
                   {("p", "b"): ["q"], ("p", "a"): ["q"],
@@ -189,3 +205,64 @@ def test_count_language_size():
 
     with pytest.raises(ValueError):
         count_language_size(Automaton(("a",), ("p",), ["p"], [], {}))
+
+
+def random_dfa(rng, n_states, alphabet, forward_only):
+    """Complete DFA; with ``forward_only`` every move goes to a later
+    state or, from the last state, back to itself, and the last state
+    rejects, so the language is finite."""
+    states = [f"s{i}" for i in range(n_states)]
+    transitions = {}
+    for i, q in enumerate(states):
+        for symbol in alphabet:
+            later = states[i + 1:] if forward_only else states
+            transitions[(q, symbol)] = [rng.choice(later or [q])]
+    candidates = states[:-1] if forward_only else states
+    accepting = rng.sample(candidates, rng.randint(0, len(candidates)))
+    return Automaton(alphabet, states, [states[0]], accepting, transitions)
+
+
+def accepted_lengths(d, limit):
+    """The length of every accepted word shorter than ``limit``, one
+    entry per word."""
+    (start,) = d.initial
+    lengths = []
+    stack = [(start, 0)]
+    while stack:
+        q, size = stack.pop()
+        if q in d.accepting:
+            lengths.append(size)
+        if size + 1 < limit:
+            stack.extend((t, size + 1) for symbol in d.alphabet
+                         for t in d.step(q, symbol))
+    return lengths
+
+
+def test_count_language_size_matches_brute_force():
+    # an n-state complete DFA accepts infinitely many words exactly when
+    # it accepts one of length in [n, 2n); otherwise all are shorter than n
+    rng = random.Random(23)
+    finite = infinite = 0
+    for trial in range(300):
+        alphabet = ("a", "b")[:rng.randint(1, 2)]
+        d = random_dfa(rng, rng.randint(1, 6), alphabet, trial % 2 == 0)
+        for candidate in (d, minimize(d), complement(d)):
+            n = len(candidate.states)
+            lengths = accepted_lengths(candidate, 2 * n)
+            if any(size >= n for size in lengths):
+                expected = INFINITE
+                infinite += 1
+            else:
+                expected = len(lengths)
+                finite += expected > 0
+            assert count_language_size(candidate) == expected, trial
+    assert finite >= 100 and infinite >= 100
+
+
+def test_count_language_size_handles_long_chains():
+    count = 5000
+    states = [f"s{i}" for i in range(count)] + ["dead"]
+    transitions = {(states[i], "a"): [states[i + 1]] for i in range(count)}
+    transitions[("dead", "a")] = ["dead"]
+    chain = Automaton(("a",), states, ["s0"], [states[count - 1]], transitions)
+    assert count_language_size(chain) == 1
