@@ -180,13 +180,28 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") \
+            from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
+    return value
+
+
+def _add_max_subsets(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--max-subsets", type=_positive_int,
+                        default=DEFAULT_SUBSET_LIMIT,
+                        help="cap on explored subset-construction nodes")
+
+
 def _add_decision_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--strategy", default=Strategy.GENERIC.value,
                         choices=[s.value for s in Strategy],
                         help="decision engine (default: generic)")
-    parser.add_argument("--max-subsets", type=int,
-                        default=DEFAULT_SUBSET_LIMIT,
-                        help="cap on explored subset-construction nodes")
+    _add_max_subsets(parser)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -250,7 +265,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = commands.add_parser("dre", help="is the language definable by a "
                                           "deterministic regular expression")
     sub.add_argument("automaton")
-    sub.add_argument("--max-subsets", type=int, default=DEFAULT_SUBSET_LIMIT)
+    _add_max_subsets(sub)
     sub.set_defaults(handler=_cmd_dre)
 
     sub = commands.add_parser("verify-extremal", help="check the extremal "

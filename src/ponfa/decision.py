@@ -171,40 +171,15 @@ def _unary_loop_threshold(a: Automaton) -> Optional[int]:
     state, or None when the language is finite.  Every length at or
     beyond the threshold is accepted."""
     symbol = a.alphabet[0]
-    looping = [q for q in a.states if q in a.step(q, symbol)]
-    if not looping:
-        return None
-    dist_from_initial: dict[str, int] = {q: 0 for q in a.initial}
-    frontier = list(dist_from_initial)
-    while frontier:
-        nxt = []
-        for q in frontier:
-            for t in a.step(q, symbol):
-                if t not in dist_from_initial:
-                    dist_from_initial[t] = dist_from_initial[q] + 1
-                    nxt.append(t)
-        frontier = nxt
-    dist_to_accepting: dict[str, int] = {q: 0 for q in a.accepting}
-    predecessors: dict[str, set[str]] = {q: set() for q in a.states}
-    for q in a.states:
-        for t in a.step(q, symbol):
-            predecessors[t].add(q)
-    frontier = list(dist_to_accepting)
-    while frontier:
-        nxt = []
-        for q in frontier:
-            for p in predecessors[q]:
-                if p not in dist_to_accepting:
-                    dist_to_accepting[p] = dist_to_accepting[q] + 1
-                    nxt.append(p)
-        frontier = nxt
-    best = None
-    for q in looping:
-        if q in dist_from_initial and q in dist_to_accepting:
-            total = dist_from_initial[q] + dist_to_accepting[q]
-            if best is None or total < best:
-                best = total
-    return best
+    looping = {q for q in a.states if q in a.step(q, symbol)}
+    # a node is a state and whether the path to it passed a loop
+    word = shortest_word(
+        [(q, q in looping) for q in sorted(a.initial, key=a.state_index)],
+        a.alphabet,
+        lambda node: [(symbol, (t, node[1] or t in looping))
+                      for t in a.step(node[0], symbol)],
+        lambda node: node[1] and node[0] in a.accepting)
+    return None if word is None else len(word)
 
 
 def _includes_unary(a: Automaton, b: Automaton) -> Decision:
@@ -215,15 +190,9 @@ def _includes_unary(a: Automaton, b: Automaton) -> Decision:
         # finite left language: every accepted word fits under the depth
         limit = depth(a)
     elif threshold_b is None:
-        # infinite left language against a finite right one always
-        # leaves a gap beyond the right depth
+        # the right side accepts no word longer than its depth, so the
+        # length after it separates an infinite left language
         limit = max(threshold_a, depth(b) + 1)
-        for length in range(limit + 1):
-            word = (symbol,) * length
-            if accepts(a, word) and not accepts(b, word):
-                return Decision(False, word)
-        raise AssertionError("unreachable: an infinite language must exceed "
-                             "a finite one")
     else:
         limit = max(threshold_a, threshold_b)
     for length in range(limit + 1):

@@ -20,13 +20,12 @@ criterion, and the no-progress verdict is logged when it decides.
 from __future__ import annotations
 
 import logging
-from collections import deque
 from dataclasses import dataclass
 
 from .core import (Automaton, CapacityError, _strongly_connected_components,
                    _edges_ignoring_self_loops)
 from .ops import (DEFAULT_SUBSET_LIMIT, co_reachable_states, determinize,
-                  minimize)
+                  minimize, reachable_states)
 
 logger = logging.getLogger(__name__)
 
@@ -91,6 +90,19 @@ def _gates_agree(d: Automaton, decomposition: OrbitDecomposition) -> bool:
     return True
 
 
+def _restrict(d: Automaton, keep: set[str] | frozenset[str],
+              initial: list[str], accepting: frozenset[str]) -> Automaton:
+    """``d`` with its states, and the moves between them, cut down to
+    ``keep``."""
+    states = [q for q in d.states if q in keep]
+    transitions = {
+        (source, symbol): targets & keep
+        for (source, symbol), targets in d.transitions.items()
+        if source in keep
+    }
+    return Automaton(d.alphabet, states, initial, accepting, transitions)
+
+
 def _trim(d: Automaton) -> Automaton | None:
     """Drop states that cannot reach an accepting state, or None when
     none remains reachable (the empty language)."""
@@ -98,14 +110,7 @@ def _trim(d: Automaton) -> Automaton | None:
     initial = [q for q in d.initial if q in useful]
     if not initial:
         return None
-    states = [q for q in d.states if q in useful]
-    transitions = {
-        (source, symbol): targets & useful
-        for (source, symbol), targets in d.transitions.items()
-        if source in useful
-    }
-    return Automaton(d.alphabet, states, initial,
-                     d.accepting & useful, transitions)
+    return _restrict(d, useful, initial, d.accepting & useful)
 
 
 def _minimal_trimmed(a: Automaton, max_subsets: int) -> Automaton | None:
@@ -115,16 +120,7 @@ def _minimal_trimmed(a: Automaton, max_subsets: int) -> Automaton | None:
 def _canonical_key(d: Automaton) -> tuple:
     """Isomorphism-invariant form of a trimmed DFA: states renumbered
     in breadth-first order from the initial state."""
-    (start,) = d.initial
-    numbering = {start: 0}
-    queue = deque([start])
-    while queue:
-        state = queue.popleft()
-        for symbol in d.alphabet:
-            for target in sorted(d.step(state, symbol), key=d.state_index):
-                if target not in numbering:
-                    numbering[target] = len(numbering)
-                    queue.append(target)
+    numbering = {q: i for i, q in enumerate(reachable_states(d))}
     edges = tuple(sorted(
         (numbering[source], symbol, numbering[target])
         for (source, symbol), targets in d.transitions.items()
@@ -135,33 +131,18 @@ def _canonical_key(d: Automaton) -> tuple:
     return (d.alphabet, len(numbering), accepting, edges)
 
 
-def _orbit_automaton(d: Automaton, orbit: frozenset[str],
-                     gates: frozenset[str], start: str) -> Automaton:
-    states = [q for q in d.states if q in orbit]
-    transitions = {
-        (source, symbol): targets & orbit
-        for (source, symbol), targets in d.transitions.items()
-        if source in orbit
-    }
-    return Automaton(d.alphabet, states, [start], gates, transitions)
-
-
-def _consistent_symbols(d: Automaton) -> dict[str, str]:
+def _consistent_symbols(d: Automaton) -> set[str]:
     """Symbols on which every accepting state moves to one shared
-    target, mapped to that target."""
-    consistent: dict[str, str] = {}
+    target."""
+    consistent = set()
     for symbol in d.alphabet:
-        targets = {d.step(q, symbol) for q in sorted(d.accepting,
-                                                     key=d.state_index)}
-        if len(targets) == 1:
-            (target_set,) = targets
-            if len(target_set) == 1:
-                (target,) = target_set
-                consistent[symbol] = target
+        targets = {d.step(q, symbol) for q in d.accepting}
+        if len(targets) == 1 and len(next(iter(targets))) == 1:
+            consistent.add(symbol)
     return consistent
 
 
-def _cut_at_accepting(d: Automaton, symbols: dict[str, str]) -> Automaton:
+def _cut_at_accepting(d: Automaton, symbols: set[str]) -> Automaton:
     transitions = {
         (source, symbol): targets
         for (source, symbol), targets in d.transitions.items()
@@ -192,7 +173,7 @@ def _orbit_languages_definable(d: Automaton,
                                cache: dict) -> bool:
     for orbit, gates in zip(decomposition.orbits, decomposition.gates):
         for start in sorted(orbit, key=d.state_index):
-            restricted = _orbit_automaton(d, orbit, gates, start)
+            restricted = _restrict(d, orbit, [start], gates)
             reduced = _minimal_trimmed(restricted, max_subsets)
             if not _definable(reduced, depth + 1, limit, max_subsets, cache):
                 return False

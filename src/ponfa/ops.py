@@ -1,8 +1,12 @@
 """Constructions on automata: determinization, minimization, products,
-and the shortest-word search behind every witness.
+and the two graph searches they rest on.
 
-Witness words returned by the emptiness test are always the shortest
-accepted word, with ties broken lexicographically by alphabet order.
+``_explore`` walks the whole reachable part of a graph breadth first;
+reachability, co-reachability, the subset construction and the product
+read it.  ``shortest_word`` searches for a goal node and stops at the
+first one; it gives every witness.  Witness words returned by the
+emptiness test are always the shortest accepted word, with ties broken
+lexicographically by alphabet order.
 """
 
 from __future__ import annotations
@@ -38,34 +42,40 @@ def _subset_name(a: Automaton, subset: frozenset[str],
     return _claim("{" + ",".join(members) + "}", taken)
 
 
+def _explore(starts: Iterable[Node],
+             successors: Callable[[Node], list[tuple[str, Node]]],
+             max_nodes: float = INFINITE
+             ) -> dict[Node, list[tuple[str, Node]]]:
+    """Every node reachable from a start node, in breadth-first
+    discovery order, mapped to the ``(symbol, target)`` list that
+    ``successors`` returns for it.  Discovering a node beyond the first
+    ``max_nodes`` raises ``CapacityError``."""
+    graph: dict[Node, list[tuple[str, Node]]] = dict.fromkeys(starts)
+    order = list(graph)
+    for node in order:      # the list grows while it is read
+        graph[node] = edges = successors(node)
+        for _symbol, target in edges:
+            if target not in graph:
+                if len(graph) >= max_nodes:
+                    raise CapacityError(f"search exceeded {max_nodes} nodes")
+                graph[target] = None
+                order.append(target)
+    return graph
+
+
 def reachable_states(a: Automaton) -> list[str]:
     """States reachable from an initial state, in breadth-first order."""
-    order = sorted(a.initial, key=a.state_index)
-    seen = set(order)
-    for q in order:     # the list grows while it is read
-        for sym in a.alphabet:
-            for t in a.step(q, sym):
-                if t not in seen:
-                    seen.add(t)
-                    order.append(t)
-    return order
+    return list(_explore(sorted(a.initial, key=a.state_index),
+                         lambda q: moves(a, q)))
 
 
 def co_reachable_states(a: Automaton) -> set[str]:
     """States from which an accepting state can be reached."""
-    inverse: dict[str, set[str]] = {q: set() for q in a.states}
-    for (source, _symbol), targets in a.transitions.items():
+    inverse: dict[str, list[tuple[str, str]]] = {q: [] for q in a.states}
+    for (source, symbol), targets in a.transitions.items():
         for target in targets:
-            inverse[target].add(source)
-    useful = set(a.accepting)
-    frontier = list(a.accepting)
-    while frontier:
-        state = frontier.pop()
-        for source in inverse[state]:
-            if source not in useful:
-                useful.add(source)
-                frontier.append(source)
-    return useful
+            inverse[target].append((symbol, source))
+    return set(_explore(a.accepting, inverse.__getitem__))
 
 
 def determinize(a: Automaton, max_subsets: int = DEFAULT_SUBSET_LIMIT) -> Automaton:
@@ -75,27 +85,22 @@ def determinize(a: Automaton, max_subsets: int = DEFAULT_SUBSET_LIMIT) -> Automa
     as the rejecting sink when some move is missing.  Exceeding
     ``max_subsets`` distinct subsets raises ``CapacityError``.
     """
-    start = a.initial
+    try:
+        graph = _explore([a.initial], lambda subset: [
+            (sym, a.move(subset, sym)) for sym in a.alphabet], max_subsets)
+    except CapacityError:
+        raise CapacityError(
+            f"subset construction exceeded {max_subsets} states") from None
     taken: set[str] = set()
-    names: dict[frozenset[str], str] = {start: _subset_name(a, start, taken)}
-    order: list[frozenset[str]] = [start]
-    transitions: dict[tuple[str, str], frozenset[str]] = {}
-    queue = deque([start])
-    while queue:
-        subset = queue.popleft()
-        for sym in a.alphabet:
-            target = a.move(subset, sym)
-            if target not in names:
-                if len(names) >= max_subsets:
-                    raise CapacityError(
-                        f"subset construction exceeded {max_subsets} states")
-                names[target] = _subset_name(a, target, taken)
-                order.append(target)
-                queue.append(target)
-            transitions[(names[subset], sym)] = frozenset((names[target],))
-    states = [names[s] for s in order]
-    accepting = [names[s] for s in order if s & a.accepting]
-    return Automaton(a.alphabet, states, [names[start]], accepting, transitions)
+    names = {subset: _subset_name(a, subset, taken) for subset in graph}
+    # one frozenset per target state, not one per move
+    targets = {subset: frozenset((name,)) for subset, name in names.items()}
+    transitions = {(names[subset], sym): targets[target]
+                   for subset, edges in graph.items()
+                   for sym, target in edges}
+    accepting = [names[s] for s in graph if s & a.accepting]
+    return Automaton(a.alphabet, list(names.values()), [names[a.initial]],
+                     accepting, transitions)
 
 
 def _require_complete_dfa(a: Automaton, operation: str) -> None:
@@ -172,29 +177,24 @@ def product_intersection(a: Automaton, b: Automaton) -> Automaton:
         raise ValueError("product requires identical alphabets")
     start = [(p, q) for p in sorted(a.initial, key=a.state_index)
              for q in sorted(b.initial, key=b.state_index)]
+
+    def successors(pair: tuple[str, str]) -> list[tuple[str, tuple[str, str]]]:
+        p, q = pair
+        return [(sym, (ta, tb)) for sym in a.alphabet
+                for ta in sorted(a.step(p, sym), key=a.state_index)
+                for tb in sorted(b.step(q, sym), key=b.state_index)]
+
+    graph = _explore(start, successors)
     taken: set[str] = set()
-    names = {pair: _claim(f"({pair[0]},{pair[1]})", taken) for pair in start}
-    order = list(start)
+    names = {pair: _claim(f"({pair[0]},{pair[1]})", taken) for pair in graph}
     transitions: dict[tuple[str, str], set[str]] = {}
-    queue = deque(start)
-    while queue:
-        p, q = queue.popleft()
-        for sym in a.alphabet:
-            targets_a = sorted(a.step(p, sym), key=a.state_index)
-            targets_b = sorted(b.step(q, sym), key=b.state_index)
-            for ta in targets_a:
-                for tb in targets_b:
-                    pair = (ta, tb)
-                    if pair not in names:
-                        names[pair] = _claim(f"({ta},{tb})", taken)
-                        order.append(pair)
-                        queue.append(pair)
-                    transitions.setdefault((names[(p, q)], sym),
-                                           set()).add(names[pair])
-    states = [names[pair] for pair in order]
-    accepting = [names[(p, q)] for (p, q) in order
+    for pair, edges in graph.items():
+        for sym, target in edges:
+            transitions.setdefault((names[pair], sym),
+                                   set()).add(names[target])
+    accepting = [names[(p, q)] for (p, q) in graph
                  if p in a.accepting and q in b.accepting]
-    return Automaton(a.alphabet, states or ["(dead)"],
+    return Automaton(a.alphabet, list(names.values()) or ["(dead)"],
                      [names[pair] for pair in start], accepting, transitions)
 
 

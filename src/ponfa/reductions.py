@@ -392,9 +392,19 @@ class _Encoding:
         return tuple(bits)
 
 
-def _snapshot_cells(machine: Dtm, config: Configuration) -> list[object]:
-    return [(config.tape[j], config.state if config.head == j + 1 else None)
-            for j in range(machine.space_bound)]
+def _encode_configurations(machine: Dtm, encoding: _Encoding,
+                           configurations: Iterable[Configuration]) -> Word:
+    """The snapshots in the block encoding ``encode_run`` describes."""
+    sequence: list[object] = [SEPARATOR]
+    for config in configurations:
+        sequence.extend(
+            (config.tape[j], config.state if config.head == j + 1 else None)
+            for j in range(machine.space_bound))
+        sequence.append(SEPARATOR)
+    bits: list[str] = []
+    for symbol in sequence:
+        bits.extend(encoding.block(encoding.index[symbol]))
+    return tuple(bits)
 
 
 def encode_run(machine: Dtm, word: Word) -> Optional[Word]:
@@ -405,15 +415,8 @@ def encode_run(machine: Dtm, word: Word) -> Optional[Word]:
     outcome = simulate(machine, word)
     if outcome.status is not SimulationStatus.ACCEPTED:
         return None
-    encoding = _Encoding(machine)
-    sequence: list[object] = [SEPARATOR]
-    for config in outcome.configurations:
-        sequence.extend(_snapshot_cells(machine, config))
-        sequence.append(SEPARATOR)
-    bits: list[str] = []
-    for symbol in sequence:
-        bits.extend(encoding.block(encoding.index[symbol]))
-    return tuple(bits)
+    return _encode_configurations(machine, _Encoding(machine),
+                                  outcome.configurations)
 
 
 class _Sketch:
@@ -662,19 +665,20 @@ def _add_transition_checks(sk: _Sketch, encoding: _Encoding, mark: str,
     block_length = encoding.block_length
     entries: dict[Optional[int], str] = {}
 
+    def after_00(label: str, finish) -> str:
+        """Two states reading 00, then one block walked by ``finish``;
+        returns the first state."""
+        first = sk.fresh(label)
+        second = sk.fresh(label)
+        root = _walk_block(sk, encoding, label, finish)
+        sk.edge(first, "0", second)
+        sk.edge(second, "0", root)
+        return first
+
     def entry_for(forced: Optional[int]) -> str:
         if forced not in entries:
-            def finish(value: int) -> Optional[str]:
-                if forced is not None and value == forced:
-                    return None
-                return all_state
-
-            first = sk.fresh("tgt")
-            second = sk.fresh("tgt")
-            root = _walk_block(sk, encoding, "tgt", finish)
-            sk.edge(first, "0", second)
-            sk.edge(second, "0", root)
-            head = first
+            head = after_00("tgt", lambda value:
+                            None if value == forced else all_state)
             for _ in range((space - 1) * block_length):
                 gap = sk.fresh("gap")
                 sk.any_edge(gap, head)
@@ -682,28 +686,10 @@ def _add_transition_checks(sk: _Sketch, encoding: _Encoding, mark: str,
             entries[forced] = head
         return entries[forced]
 
-    def finish_third(first: int, second: int, third: int) -> str:
-        return entry_for(successor[(first, second, third)])
-
-    def finish_second(first: int, second: int) -> str:
-        connector = sk.fresh("chk")
-        connector2 = sk.fresh("chk")
-        root = _walk_block(sk, encoding, "chk",
-                           lambda third: finish_third(first, second, third))
-        sk.edge(connector, "0", connector2)
-        sk.edge(connector2, "0", root)
-        return connector
-
-    def finish_first(first: int) -> str:
-        connector = sk.fresh("chk")
-        connector2 = sk.fresh("chk")
-        root = _walk_block(sk, encoding, "chk",
-                           lambda second: finish_second(first, second))
-        sk.edge(connector, "0", connector2)
-        sk.edge(connector2, "0", root)
-        return connector
-
-    root = _walk_block(sk, encoding, "chk", finish_first)
+    root = _walk_block(sk, encoding, "chk", lambda first: after_00(
+        "chk", lambda second: after_00(
+            "chk", lambda third: entry_for(
+                successor[(first, second, third)]))))
     sk.edge(mark, "0", root)
 
 
@@ -748,19 +734,6 @@ def _add_ending_checks(sk: _Sketch, encoding: _Encoding, machine: Dtm,
             previous = state
 
 
-def _initial_snapshot_bits(machine: Dtm, word: Word,
-                           encoding: _Encoding) -> Word:
-    tape = list(word) + [machine.blank] * (machine.space_bound - len(word))
-    cells: list[object] = [SEPARATOR]
-    cells.extend((tape[j], machine.initial if j == 0 else None)
-                 for j in range(machine.space_bound))
-    cells.append(SEPARATOR)
-    bits: list[str] = []
-    for cell in cells:
-        bits.extend(encoding.block(encoding.index[cell]))
-    return tuple(bits)
-
-
 def dtm_to_ponfa(machine: Dtm, word: Word,
                  max_states: int = DEFAULT_STATE_LIMIT) -> Automaton:
     """Binary partially ordered automaton accepting every word except
@@ -772,7 +745,9 @@ def dtm_to_ponfa(machine: Dtm, word: Word,
     sk = _Sketch(max_states)
     leaves, anchors = _add_malformed_detectors(sk, encoding.code_length,
                                                len(encoding.symbols))
-    _add_prefix_checks(sk, _initial_snapshot_bits(machine, word, encoding),
+    # a run cut after zero steps holds the starting snapshot alone
+    start = simulate(machine, word, budget=0).configurations
+    _add_prefix_checks(sk, _encode_configurations(machine, encoding, start),
                        anchors["all"])
     _add_transition_checks(sk, encoding, anchors["mark"], anchors["all"],
                            _successor_table(machine, encoding),

@@ -201,6 +201,15 @@ def test_capacity_exhaustion_exits_two(extremal_path, capsys):
     assert code == 2 and err.startswith("error:")
 
 
+@pytest.mark.parametrize("command", ["universal", "include", "equal", "dre"])
+@pytest.mark.parametrize("value", ["0", "-5"])
+def test_non_positive_max_subsets_exits_one(extremal_path, command, value):
+    files = [extremal_path] * (2 if command in ("include", "equal") else 1)
+    with pytest.raises(SystemExit) as info:
+        main([command, *files, "--max-subsets", value])
+    assert info.value.code == 1
+
+
 def test_usage_errors_exit_one():
     with pytest.raises(SystemExit) as info:
         main([])

@@ -6,8 +6,9 @@ import random
 import pytest
 
 from ponfa.core import Automaton, CapacityError, accepts, classify
-from ponfa.ops import (INFINITE, complement, count_language_size, determinize,
-                       is_empty, minimize, product_intersection)
+from ponfa.ops import (INFINITE, co_reachable_states, complement,
+                       count_language_size, determinize, is_empty, minimize,
+                       product_intersection, reachable_states)
 
 
 def contains_a1():
@@ -266,3 +267,37 @@ def test_count_language_size_handles_long_chains():
     transitions[("dead", "a")] = ["dead"]
     chain = Automaton(("a",), states, ["s0"], [states[count - 1]], transitions)
     assert count_language_size(chain) == 1
+
+
+def test_reachability_walks_match_a_naive_fixpoint():
+    rng = random.Random(17)
+    for _ in range(300):
+        alphabet = ("a", "b", "c")[:rng.randint(1, 3)]
+        n = rng.randint(1, 6)
+        states = [f"s{i}" for i in range(n)]
+        transitions = {(q, sym): rng.sample(states, rng.randint(0, min(n, 2)))
+                       for q in states for sym in alphabet}
+        # the initial set is empty a third of the time, the accepting
+        # set at least a seventh
+        a = Automaton(alphabet, states,
+                      rng.sample(states, rng.randint(0, min(n, 2))),
+                      rng.sample(states, rng.randint(0, n)), transitions)
+        distance = {q: 0 for q in a.initial}
+        backward = set(a.accepting)
+        changed = True
+        while changed:
+            changed = False
+            for (q, _), targets in a.transitions.items():
+                for t in targets:
+                    step = distance.get(q, INFINITE) + 1
+                    if step < distance.get(t, INFINITE):
+                        distance[t] = step
+                        changed = True
+                    if t in backward and q not in backward:
+                        backward.add(q)
+                        changed = True
+        order = reachable_states(a)
+        assert len(order) == len(set(order)) and set(order) == set(distance)
+        assert [distance[q] for q in order] == sorted(distance.values())
+        assert order[:len(a.initial)] == sorted(a.initial, key=a.state_index)
+        assert co_reachable_states(a) == backward
