@@ -27,7 +27,7 @@ def _alphabet(n: int) -> tuple[str, ...]:
     return tuple(f"a{i}" for i in range(1, n + 1))
 
 
-def build_w(k: int, n: int, max_len: int = DEFAULT_WORD_LIMIT) -> Word:
+def build_w(k: int, n: int) -> Word:
     """The unique rejected word, materialised as a symbol tuple.
 
     Defined by taking the word for one letter fewer, appending the new
@@ -44,9 +44,9 @@ def build_w(k: int, n: int, max_len: int = DEFAULT_WORD_LIMIT) -> Word:
     if k == 0 or n == 0:
         return ()
     expected = math.comb(k + n, n) - 1
-    if expected > max_len:
-        raise CapacityError(
-            f"word of length {expected} exceeds the limit of {max_len}")
+    if expected > DEFAULT_WORD_LIMIT:
+        raise CapacityError(f"word of length {expected} exceeds the limit "
+                            f"of {DEFAULT_WORD_LIMIT}")
     symbols = _alphabet(n)
     # current[j] holds W(j, m) for the level m being built
     current: list[Word] = [(symbols[0],) * j for j in range(k + 1)]

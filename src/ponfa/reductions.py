@@ -12,7 +12,11 @@ each cell encoded as a fixed-length bit block, and the automaton
 accepts exactly the words that fail to be that one encoding.  The
 detector families cover malformed block structure, a wrong starting
 snapshot, a cell that contradicts the transition table, and runs that
-stop too early or keep going after acceptance.
+stop too early or keep going after acceptance.  Every fragment is a
+trie over block words (``_trie``: one state per proper prefix) or a
+chain of states joined on both bits (``_Sketch.chain``).  The trie of
+the starting snapshot accepts its proper prefixes, so words shorter
+than that snapshot need no fragment of their own.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ import itertools
 import json
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .core import (Automaton, AutomatonKind, CapacityError, FormatError,
                    Word, classify)
@@ -362,14 +366,23 @@ def simulate(machine: Dtm, word: Word,
     return SimulationResult(SimulationStatus.ACCEPTED, tuple(trace))
 
 
+def _blocks(count: int) -> list[Word]:
+    """The block of every symbol index below ``count``: 0 0 1 b1 1 b2 1
+    ... bK 1 for the K-bit code of the index, so that 00 occurs only at
+    block starts in any concatenation of blocks."""
+    code_length = max(1, (count - 1).bit_length())
+    return [("0", "0", "1") + tuple(itertools.chain.from_iterable(
+                (bit, "1") for bit in format(index, f"0{code_length}b")))
+            for index in range(count)]
+
+
 class _Encoding:
     """Fixed-length binary blocks for tape cells and the separator.
 
     A cell is a pair (tape symbol, state or None); the separator keeps
     snapshots apart.  Symbols are numbered in a fixed order (cells
-    grouped by tape symbol, plain cell first, separator last) and each
-    becomes the block 0 0 1 b1 1 b2 1 ... bK 1, so that 00 occurs only
-    at block starts in any concatenation of blocks.
+    grouped by tape symbol, plain cell first, separator last), and
+    symbol i is written as block i of ``_blocks``.
     """
 
     def __init__(self, machine: Dtm):
@@ -381,15 +394,7 @@ class _Encoding:
         symbols.append(SEPARATOR)
         self.symbols: tuple[object, ...] = tuple(symbols)
         self.index = {symbol: i for i, symbol in enumerate(symbols)}
-        self.code_length = max(1, (len(symbols) - 1).bit_length())
-        self.block_length = 2 * self.code_length + 3
-
-    def block(self, index: int) -> tuple[str, ...]:
-        bits = ["0", "0", "1"]
-        for bit in format(index, f"0{self.code_length}b"):
-            bits.append(bit)
-            bits.append("1")
-        return tuple(bits)
+        self.blocks = _blocks(len(symbols))
 
 
 def _encode_configurations(machine: Dtm, encoding: _Encoding,
@@ -403,7 +408,7 @@ def _encode_configurations(machine: Dtm, encoding: _Encoding,
         sequence.append(SEPARATOR)
     bits: list[str] = []
     for symbol in sequence:
-        bits.extend(encoding.block(encoding.index[symbol]))
+        bits.extend(encoding.blocks[encoding.index[symbol]])
     return tuple(bits)
 
 
@@ -420,26 +425,23 @@ def encode_run(machine: Dtm, word: Word) -> Optional[Word]:
 
 
 class _Sketch:
-    """Mutable scratchpad for assembling a reduction automaton."""
+    """Mutable scratchpad for assembling a reduction automaton of at
+    most ``DEFAULT_STATE_LIMIT`` states."""
 
-    def __init__(self, max_states: int):
-        self.max_states = max_states
+    def __init__(self):
         self.states: list[str] = []
         self.initial: list[str] = []
         self.accepting: list[str] = []
         self.transitions: dict[tuple[str, str], set[str]] = {}
         self.counters: dict[str, int] = {}
 
-    def state(self, name: str, accepting: bool = False,
-              initial: bool = False) -> str:
-        if len(self.states) >= self.max_states:
+    def state(self, name: str, accepting: bool = False) -> str:
+        if len(self.states) >= DEFAULT_STATE_LIMIT:
             raise CapacityError(
-                f"construction exceeded {self.max_states} states")
+                f"construction exceeded {DEFAULT_STATE_LIMIT} states")
         self.states.append(name)
         if accepting:
             self.accepting.append(name)
-        if initial:
-            self.initial.append(name)
         return name
 
     def fresh(self, prefix: str, accepting: bool = False) -> str:
@@ -454,157 +456,95 @@ class _Sketch:
         self.edge(source, "0", target)
         self.edge(source, "1", target)
 
+    def chain(self, prefix: str, length: int,
+              accepting: bool = False) -> list[str]:
+        """``length`` fresh states, each joined to the next on both bits."""
+        states = [self.fresh(prefix, accepting) for _ in range(length)]
+        for source, target in zip(states, states[1:]):
+            self.any_edge(source, target)
+        return states
+
     def build(self) -> Automaton:
         return Automaton(("0", "1"), self.states, self.initial,
                          self.accepting, self.transitions)
 
 
-def _positions(code_length: int) -> list[tuple[str, Optional[int]]]:
-    """Block structure after the leading 00: a fixed 1, then for each
-    code bit a data position followed by a fixed 1."""
-    layout: list[tuple[str, Optional[int]]] = [("fixed", None)]
-    for i in range(code_length):
-        layout.append(("data", i))
-        layout.append(("fixed", None))
-    return layout
+def _trie(sk: _Sketch, label: str, words: Sequence[Word],
+          finish: Callable[[int], Optional[str]], accepting: bool = False,
+          off: Optional[str] = None) -> str:
+    """One fresh state per proper prefix of the words, joined by the
+    bit that extends it; returns the root, the empty prefix.  The last
+    bit of ``words[i]`` goes to ``finish(i)``, or nowhere when that is
+    None.  With ``off``, every bit that leaves all the words goes
+    there; without it, such a path simply ends."""
+    root = sk.fresh(label, accepting)
+    nodes = [root]
+    steps: dict[tuple[str, str], Optional[str]] = {}
+    for i, word in enumerate(words):
+        state = root
+        for bit in word[:-1]:
+            if (state, bit) not in steps:
+                steps[state, bit] = sk.fresh(label, accepting)
+                nodes.append(steps[state, bit])
+                sk.edge(state, bit, steps[state, bit])
+            state = steps[state, bit]
+        steps[state, word[-1]] = target = finish(i)
+        if target is not None:
+            sk.edge(state, word[-1], target)
+    if off is not None:
+        for state in nodes:
+            for bit in ("0", "1"):
+                if (state, bit) not in steps:
+                    sk.edge(state, bit, off)
+    return root
 
 
-def _add_malformed_detectors(sk: _Sketch, code_length: int,
-                             symbol_count: int) -> tuple[dict[int, str],
-                                                         dict[str, str]]:
+def _add_malformed_detectors(
+        sk: _Sketch, blocks: Sequence[Word]) -> tuple[list[str], str, str]:
     """Fragments accepting every word that is not a concatenation of
-    valid blocks: wrong start, trailing 0, a broken or unassigned
-    block body, a block followed by 1 or 01, or ending inside a block.
+    the blocks: wrong start, trailing 0, a broken or unassigned block
+    body, a block followed by 1 or 01, or ending inside a block.
 
-    Returns the per-symbol states reached after a complete valid block
-    (so continuations can hang off them) and the shared anchor states.
+    Returns the state reached after each complete block (so
+    continuations can hang off them), the all-accepting sink, and the
+    state a guessed block start reaches after its first 0.
     """
     all_state = sk.state("all", accepting=True)
     sk.any_edge(all_state, all_state)
-    watch = sk.state("watch", initial=True)
+    watch = sk.state("watch")
     sk.any_edge(watch, watch)
-    lead = sk.state("lead", initial=True)
-    lead0 = sk.state("lead0")
-    sk.edge(lead, "1", all_state)
-    sk.edge(lead, "0", lead0)
-    sk.edge(lead0, "1", all_state)
+    sk.initial.append(watch)
+    sk.initial.append(_trie(sk, "lead", [("0", "0")], lambda _: None,
+                            off=all_state))
     tail0 = sk.state("tail0", accepting=True)
     sk.edge(watch, "0", tail0)
     mark = sk.state("mark")
     sk.edge(watch, "0", mark)
     blockzero = sk.state("blk0", accepting=True)
     sk.edge(blockzero, "1", all_state)
-    # trie over the block body; None tracks bodies whose code cannot
-    # name a symbol any more, which must still be followed to the end
-    current: dict[Optional[int], str] = {0: sk.fresh("fmt", accepting=True)}
-    sk.edge(mark, "0", current[0])
-    leaves: dict[int, str] = {}
-    layout = _positions(code_length)
-    for position, (kind, data_index) in enumerate(layout):
-        last = position == len(layout) - 1
-        nxt: dict[Optional[int], str] = {}
-
-        def child(key: Optional[int]) -> str:
-            if key not in nxt:
-                nxt[key] = sk.fresh("fmt", accepting=True)
-            return nxt[key]
-
-        for key, state in current.items():
-            if kind == "fixed":
-                sk.edge(state, "0", all_state)
-                if last:
-                    if key is None:
-                        sk.edge(state, "1", all_state)
-                    else:
-                        leaves[key] = sk.state(f"sym{key}")
-                        sk.edge(state, "1", leaves[key])
-                else:
-                    sk.edge(state, "1", child(key))
-            else:
-                for bit in (0, 1):
-                    if key is None:
-                        sk.edge(state, str(bit), child(None))
-                    else:
-                        value = key * 2 + bit
-                        shifted = value << (code_length - data_index - 1)
-                        sk.edge(state, str(bit),
-                                child(None if shifted >= symbol_count
-                                      else value))
-        current = nxt
-    for leaf in leaves.values():
+    leaves = [sk.state(f"sym{i}") for i in range(len(blocks))]
+    for leaf in leaves:
         sk.edge(leaf, "1", all_state)
         sk.edge(leaf, "0", blockzero)
-    return leaves, {"all": all_state, "watch": watch, "mark": mark}
+    # every state of the body trie accepts, since a word may not end
+    # inside a block, and a body naming no symbol leaves it for all
+    sk.edge(mark, "0", _trie(sk, "fmt", [block[2:] for block in blocks],
+                             leaves.__getitem__, accepting=True,
+                             off=all_state))
+    return leaves, all_state, mark
 
 
-def format_checker_ponfa(symbol_count: int,
-                         max_states: int = DEFAULT_STATE_LIMIT) -> Automaton:
+def format_checker_ponfa(symbol_count: int) -> Automaton:
     """Standalone automaton over {0, 1} accepting exactly the words
     that are not concatenations of valid blocks for a code table of
     the given size.  Exposed as a validation oracle."""
     if symbol_count < 2:
         raise ValueError("the code table needs at least two symbols")
-    code_length = max(1, (symbol_count - 1).bit_length())
-    sk = _Sketch(max_states)
-    _add_malformed_detectors(sk, code_length, symbol_count)
+    sk = _Sketch()
+    _add_malformed_detectors(sk, _blocks(symbol_count))
     result = sk.build()
     assert classify(result).is_partially_ordered
     return result
-
-
-def _add_prefix_checks(sk: _Sketch, expected: Word, all_state: str) -> None:
-    """Fragments accepting words shorter than the mandatory starting
-    snapshot and words deviating from it within that prefix."""
-    previous = None
-    for i in range(len(expected)):
-        state = sk.state(f"short{i}", accepting=True, initial=(i == 0))
-        if previous is not None:
-            sk.any_edge(previous, state)
-        previous = state
-    previous = None
-    for i, bit in enumerate(expected):
-        state = sk.state(f"init{i}", initial=(i == 0))
-        if previous is not None:
-            sk.edge(previous, expected[i - 1], state)
-        sk.edge(state, "1" if bit == "0" else "0", all_state)
-        previous = state
-
-
-def _walk_block(sk: _Sketch, encoding: _Encoding, label: str,
-                finish) -> str:
-    """States following one block after its 00 prefix; paths that stop
-    being a valid encoding simply end.  ``finish(symbol_index)``
-    supplies the state receiving the block's final bit, or None for no
-    edge.  Returns the root state."""
-    count = len(encoding.symbols)
-    code_length = encoding.code_length
-    current: dict[int, str] = {0: sk.fresh(label)}
-    root = current[0]
-    layout = _positions(code_length)
-    for position, (kind, data_index) in enumerate(layout):
-        last = position == len(layout) - 1
-        nxt: dict[int, str] = {}
-
-        def child(value: int) -> str:
-            if value not in nxt:
-                nxt[value] = sk.fresh(label)
-            return nxt[value]
-
-        for value, state in current.items():
-            if kind == "fixed":
-                if last:
-                    target = finish(value)
-                    if target is not None:
-                        sk.edge(state, "1", target)
-                else:
-                    sk.edge(state, "1", child(value))
-            else:
-                for bit in (0, 1):
-                    grown = value * 2 + bit
-                    if (grown << (code_length - data_index - 1)) < count:
-                        sk.edge(state, str(bit), child(grown))
-        current = nxt
-    return root
 
 
 def _successor_table(machine: Dtm,
@@ -654,105 +594,84 @@ def _successor_table(machine: Dtm,
     return table
 
 
-def _add_transition_checks(sk: _Sketch, encoding: _Encoding, mark: str,
+def _add_transition_checks(sk: _Sketch, blocks: Sequence[Word], mark: str,
                            all_state: str,
                            successor: dict[tuple[int, int, int],
                                            Optional[int]],
                            space: int) -> None:
     """Fragments accepting words where three adjacent blocks are
-    followed, one snapshot later, by anything other than the symbol
+    followed, one snapshot later, by anything other than the block
     the transition table forces there."""
-    block_length = encoding.block_length
     entries: dict[Optional[int], str] = {}
-
-    def after_00(label: str, finish) -> str:
-        """Two states reading 00, then one block walked by ``finish``;
-        returns the first state."""
-        first = sk.fresh(label)
-        second = sk.fresh(label)
-        root = _walk_block(sk, encoding, label, finish)
-        sk.edge(first, "0", second)
-        sk.edge(second, "0", root)
-        return first
 
     def entry_for(forced: Optional[int]) -> str:
         if forced not in entries:
-            head = after_00("tgt", lambda value:
-                            None if value == forced else all_state)
-            for _ in range((space - 1) * block_length):
-                gap = sk.fresh("gap")
-                sk.any_edge(gap, head)
-                head = gap
-            entries[forced] = head
+            gap = sk.chain("gap", (space - 1) * len(blocks[0]))
+            target = _trie(sk, "tgt", blocks, lambda value:
+                           None if value == forced else all_state)
+            if gap:
+                sk.any_edge(gap[-1], target)
+            entries[forced] = gap[0] if gap else target
         return entries[forced]
 
-    root = _walk_block(sk, encoding, "chk", lambda first: after_00(
-        "chk", lambda second: after_00(
-            "chk", lambda third: entry_for(
-                successor[(first, second, third)]))))
+    # the first block's leading 00 was read by the guess reaching mark
+    root = _trie(sk, "chk", [block[2:] for block in blocks], lambda first:
+                 _trie(sk, "chk", blocks, lambda second:
+                       _trie(sk, "chk", blocks, lambda third:
+                             entry_for(successor[first, second, third]))))
     sk.edge(mark, "0", root)
 
 
 def _add_ending_checks(sk: _Sketch, encoding: _Encoding, machine: Dtm,
-                       leaves: dict[int, str], all_state: str) -> None:
+                       leaves: Sequence[str]) -> None:
     """Fragments accepting words that end inside a snapshot and words
     whose final snapshot still carries a non-accepting head."""
-    block_length = encoding.block_length
+    block_length = len(encoding.blocks[0])
     space = machine.space_bound
-    separator_block = encoding.block(encoding.index[SEPARATOR])
+    separator = encoding.blocks[encoding.index[SEPARATOR]]
     # ending 1..space blocks after a separator means the final
-    # snapshot is incomplete
-    previous = leaves[encoding.index[SEPARATOR]]
-    for i in range(1, space * block_length + 1):
-        state = sk.fresh("cut", accepting=(i % block_length == 0))
-        sk.any_edge(previous, state)
-        previous = state
+    # snapshot is incomplete; ending inside a block is malformed
+    # anyway, so every state of the chain may accept
+    cut = sk.chain("cut", space * block_length, accepting=True)
+    sk.any_edge(leaves[encoding.index[SEPARATOR]], cut[0])
     # a non-accepting head whose snapshot closes at the end of the
     # word means the run stopped without accepting
     head_leaves = [leaves[i] for i, symbol in enumerate(encoding.symbols)
-                   if symbol != SEPARATOR and symbol[1] is not None
-                   and symbol[1] != machine.accepting]
+                   if symbol != SEPARATOR
+                   and symbol[1] not in (None, machine.accepting)]
     if not head_leaves:
         return
-    closing = [sk.fresh("halt") for _ in range(block_length - 1)]
-    closing.append(sk.state("haltend", accepting=True))
-    for i in range(block_length - 1):
-        sk.edge(closing[i], separator_block[i + 1], closing[i + 1])
+    end = sk.state("haltend", accepting=True)
+    closing = _trie(sk, "halt", [separator[1:]], lambda _: end)
+    live = sk.chain("live", (space - 1) * block_length)
     for leaf in head_leaves:
-        sk.edge(leaf, separator_block[0], closing[0])
-    if space > 1:
-        previous = None
-        for i in range(1, (space - 1) * block_length + 1):
-            state = sk.fresh("live")
-            if previous is None:
-                for leaf in head_leaves:
-                    sk.any_edge(leaf, state)
-            else:
-                sk.any_edge(previous, state)
-            if i % block_length == 0:
-                sk.edge(state, separator_block[0], closing[0])
-            previous = state
+        sk.edge(leaf, separator[0], closing)
+        if live:
+            sk.any_edge(leaf, live[0])
+    for state in live[block_length - 1::block_length]:
+        sk.edge(state, separator[0], closing)
 
 
-def dtm_to_ponfa(machine: Dtm, word: Word,
-                 max_states: int = DEFAULT_STATE_LIMIT) -> Automaton:
+def dtm_to_ponfa(machine: Dtm, word: Word) -> Automaton:
     """Binary partially ordered automaton accepting every word except
     the encoding of an accepting computation of the machine on the
     given input.  Universal exactly when the machine does not accept
-    within its space window."""
+    within its space window.  Builds at most ``DEFAULT_STATE_LIMIT``
+    states, and raises CapacityError past that."""
     _check_input(machine, word)
     encoding = _Encoding(machine)
-    sk = _Sketch(max_states)
-    leaves, anchors = _add_malformed_detectors(sk, encoding.code_length,
-                                               len(encoding.symbols))
-    # a run cut after zero steps holds the starting snapshot alone
+    sk = _Sketch()
+    leaves, all_state, mark = _add_malformed_detectors(sk, encoding.blocks)
+    # a run cut after zero steps holds the starting snapshot alone; its
+    # proper prefixes accept, and a word leaving it goes to all
     start = simulate(machine, word, budget=0).configurations
-    _add_prefix_checks(sk, _encode_configurations(machine, encoding, start),
-                       anchors["all"])
-    _add_transition_checks(sk, encoding, anchors["mark"], anchors["all"],
+    sk.initial.append(_trie(
+        sk, "init", [_encode_configurations(machine, encoding, start)],
+        lambda _: None, accepting=True, off=all_state))
+    _add_transition_checks(sk, encoding.blocks, mark, all_state,
                            _successor_table(machine, encoding),
                            machine.space_bound)
-    _add_ending_checks(sk, encoding, machine, leaves, anchors["all"])
+    _add_ending_checks(sk, encoding, machine, leaves)
     result = sk.build()
     assert classify(result).label is AutomatonKind.PO_NFA
     return result

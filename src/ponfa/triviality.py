@@ -131,9 +131,7 @@ def is_k_r_trivial(a: Automaton, k: int) -> TrivialityVerdict:
     return TrivialityVerdict(False, k_used=k, split_class=split)
 
 
-def is_k_r_trivial_oracle(a: Automaton, k: int,
-                          max_signatures: int = DEFAULT_SIGNATURE_LIMIT
-                          ) -> TrivialityVerdict:
+def is_k_r_trivial_oracle(a: Automaton, k: int) -> TrivialityVerdict:
     """Independent route to the same property.
 
     Runs the deterministic signature machine, whose states are the
@@ -174,18 +172,17 @@ def is_k_r_trivial_oracle(a: Automaton, k: int,
                 (next_state,) = minimal.step(state, sym)
                 next_node = (next_chain, next_state)
                 if next_node not in first_word:
-                    if len(first_word) >= max_signatures:
+                    if len(first_word) >= DEFAULT_SIGNATURE_LIMIT:
                         raise CapacityError(
-                            f"signature machine exceeded {max_signatures} nodes")
+                            "signature machine exceeded "
+                            f"{DEFAULT_SIGNATURE_LIMIT} nodes")
                     first_word[next_node] = word + (sym,)
                     nxt.append(next_node)
         frontier = nxt
     return TrivialityVerdict(True, k_used=k)
 
 
-def rponfa_to_r_expressions(a: Automaton,
-                            max_paths: int = DEFAULT_PATH_LIMIT
-                            ) -> list[RExpression]:
+def rponfa_to_r_expressions(a: Automaton) -> list[RExpression]:
     """Union form for the language of a self-loop-deterministic
     partially ordered automaton.
 
@@ -208,8 +205,9 @@ def rponfa_to_r_expressions(a: Automaton,
     def emit(path_states: tuple[str, ...], path_letters: Word) -> None:
         nonlocal counter
         counter += 1
-        if counter > max_paths:
-            raise CapacityError(f"more than {max_paths} accepting paths")
+        if counter > DEFAULT_PATH_LIMIT:
+            raise CapacityError(
+                f"more than {DEFAULT_PATH_LIMIT} accepting paths")
         expr = RExpression(tuple(loops[q] for q in path_states), path_letters)
         if expr not in seen:
             seen.add(expr)

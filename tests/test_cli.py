@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+import ponfa.reductions
 from ponfa.cli import _build_parser, main
 from ponfa.core import parse_automaton, serialize_automaton
 from ponfa.extremal import build_a
@@ -133,9 +134,10 @@ def test_reduce_cnf(tmp_path, capsys):
     assert code == 1 and err.startswith("error:")
 
 
-def test_reduce_tm(tmp_path, capsys):
-    machine_file = tmp_path / "m.json"
-    machine_file.write_text(json.dumps({
+@pytest.fixture
+def machine_path(tmp_path):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({
         "states": ["go", "yes"],
         "tape_alphabet": ["1", "_"],
         "input_alphabet": ["1"],
@@ -146,13 +148,25 @@ def test_reduce_tm(tmp_path, capsys):
         "transitions": [["go", "1", "yes", "1", "S"],
                         ["go", "_", "go", "_", "S"]],
     }))
-    code, out, _ = run(capsys, "reduce-tm", str(machine_file), "1")
+    return str(path)
+
+
+def test_reduce_tm(machine_path, capsys):
+    code, out, _ = run(capsys, "reduce-tm", machine_path, "1")
     assert code == 0
     automaton = parse_automaton(out)
     assert automaton.alphabet == ("0", "1")
 
-    code, _, err = run(capsys, "reduce-tm", str(machine_file), "2")
+    code, _, err = run(capsys, "reduce-tm", machine_path, "2")
     assert code == 1 and "alphabet" in err
+
+
+def test_reduce_tm_past_the_state_budget_exits_two(machine_path, capsys,
+                                                   monkeypatch):
+    monkeypatch.setattr(ponfa.reductions, "DEFAULT_STATE_LIMIT", 100)
+    code, out, err = run(capsys, "reduce-tm", machine_path, "1")
+    assert (code, out) == (2, "")
+    assert err == "error: construction exceeded 100 states\n"
 
 
 def test_dre(extremal_path, capsys):

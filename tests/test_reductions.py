@@ -6,7 +6,9 @@ import random
 
 import pytest
 
-from ponfa.core import (AutomatonKind, FormatError, accepts, classify)
+from ponfa import reductions
+from ponfa.core import (Automaton, AutomatonKind, CapacityError, FormatError,
+                        accepts, classify)
 from ponfa.decision import Strategy, is_universal
 from ponfa.reductions import (CnfFormula, Dtm, SimulationStatus, cnf_to_rponfa,
                               dtm_to_ponfa, encode_run, format_checker_ponfa,
@@ -230,15 +232,32 @@ def test_encoding_lengths_are_pinned():
     assert word2 is not None and len(word2) == 110
 
 
+def with_accepted_word(a, word):
+    """The automaton plus one fresh path that spells the word."""
+    path = [f"hole{i}" for i in range(len(word) + 1)]
+    transitions = dict(a.transitions)
+    for source, bit, target in zip(path, word, path[1:]):
+        transitions[source, bit] = {target}
+    return Automaton(a.alphabet, a.states + tuple(path),
+                     a.initial | {path[0]}, a.accepting | {path[-1]},
+                     transitions)
+
+
 def test_accepting_machine_encoding_is_the_unique_hole():
-    word = encode_run(ACCEPT1, ("1",))
-    a = dtm_to_ponfa(ACCEPT1, ("1",))
-    assert classify(a).label is AutomatonKind.PO_NFA
-    assert not accepts(a, word)
-    verdict = is_universal(a)
-    assert not verdict.holds
-    # breadth-first witness equals the encoding: nothing shorter is missing
-    assert verdict.witness == word
+    for machine, word in ((ACCEPT1, ("1",)), (ACCEPT2, ("1", "1")),
+                          (ZIGZAG, ("1",))):
+        encoding = encode_run(machine, word)
+        a = dtm_to_ponfa(machine, word)
+        assert classify(a).label is AutomatonKind.PO_NFA
+        assert not accepts(a, encoding)
+        verdict = is_universal(a)
+        assert not verdict.holds
+        # breadth-first witness equals the encoding: nothing shorter is
+        # missing
+        assert verdict.witness == encoding
+        # and nothing longer either: accepting the encoding as well
+        # leaves no word rejected
+        assert is_universal(with_accepted_word(a, encoding)).holds
 
 
 def test_rejecting_machine_gives_a_universal_automaton():
@@ -309,21 +328,49 @@ def reference_block_chain(bits, table_size, code_length):
     return True
 
 
+def reference_block(index, code_length):
+    bits = ["0", "0", "1"]
+    for bit in format(index, f"0{code_length}b"):
+        bits += [bit, "1"]
+    return tuple(bits)
+
+
 def test_format_checker_matches_reference():
-    checker = format_checker_ponfa(7)
-    assert classify(checker).is_partially_ordered
-    for length in range(0, 10):
-        for bits in itertools.product("01", repeat=length):
-            expect = not reference_block_chain(bits, 7, 3)
-            assert accepts(checker, bits) == expect
     rng = random.Random(3)
-    for _ in range(500):
-        length = rng.randint(10, 40)
-        bits = tuple(rng.choice("01") for _ in range(length))
-        expect = not reference_block_chain(bits, 7, 3)
-        assert accepts(checker, bits) == expect
+    # powers of two leave no code unassigned
+    for table_size in (2, 3, 4, 7, 8, 9, 16, 17):
+        code_length = max(1, (table_size - 1).bit_length())
+        checker = format_checker_ponfa(table_size)
+        assert classify(checker).is_partially_ordered
+
+        def check(bits):
+            expect = not reference_block_chain(bits, table_size, code_length)
+            assert accepts(checker, bits) == expect, (table_size, bits)
+
+        for length in range(0, 10):
+            for bits in itertools.product("01", repeat=length):
+                check(bits)
+        for _ in range(500):
+            length = rng.randint(10, 40)
+            check(tuple(rng.choice("01") for _ in range(length)))
+        # random bits almost never form a valid block, so build some
+        for _ in range(100):
+            bits = tuple(bit for _ in range(rng.randint(1, 4))
+                         for bit in reference_block(
+                             rng.randrange(table_size), code_length))
+            check(bits)
+            position = rng.randrange(len(bits))
+            check(bits[:position] + ("1" if bits[position] == "0" else "0",)
+                  + bits[position + 1:])
     with pytest.raises(ValueError):
         format_checker_ponfa(1)
+
+
+def test_state_budget_raises_capacity_error(monkeypatch):
+    monkeypatch.setattr(reductions, "DEFAULT_STATE_LIMIT", 100)
+    with pytest.raises(CapacityError,
+                       match="^construction exceeded 100 states$"):
+        dtm_to_ponfa(ACCEPT1, ("1",))
 
 
 def test_parse_dtm_round_trip():
