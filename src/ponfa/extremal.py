@@ -141,7 +141,8 @@ def verify_extremal(k: int, n: int, do_minimize: bool = False) -> ExtremalReport
     automaton = build_a(k, n)
     word = build_w(k, n)
     state_count = len(automaton.states)
-    rejected = complement(determinize(automaton))
+    dfa = determinize(automaton)
+    rejected = complement(dfa)
     count = count_language_size(rejected)
     rejected_count = int(count) if count != float("inf") else -1
     witness = is_empty(rejected).witness
@@ -149,7 +150,7 @@ def verify_extremal(k: int, n: int, do_minimize: bool = False) -> ExtremalReport
     min_states = None
     bound = None
     if do_minimize:
-        min_states = len(minimize(determinize(automaton)).states)
+        min_states = len(minimize(dfa).states)
         if k == n:
             bound = math.comb(2 * n, n)
     return ExtremalReport(k, n, state_count, n * (k + 2), rejected_count,

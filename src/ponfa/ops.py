@@ -118,34 +118,61 @@ def minimize(d: Automaton) -> Automaton:
     """Minimal complete DFA for the language of ``d``.
 
     Unreachable states are discarded, then states are merged by
-    partition refinement.  The state count of the result equals the
-    number of distinguishable residual languages.
+    Hopcroft's partition refinement (in the form of Valmari, "Fast
+    brief practical DFA minimization", 2012).  Starting from the
+    accepting / rejecting split, a (block, letter) splitter cuts every
+    block that holds only some of the states whose move on the letter
+    enters the splitter block.  When a block is cut, a half is queued
+    with each letter: the new half where the block was still queued
+    with that letter, the smaller half otherwise.  The state count of
+    the result equals the number of distinguishable residual languages.
     """
     _require_complete_dfa(d, "minimize")
     (start,) = d.initial
     reachable = reachable_states(d)
-    # refine the accepting / rejecting split until transitions respect it
-    block_of = {q: (q in d.accepting) for q in reachable}
-    while True:
-        signature = {
-            q: (block_of[q],
-                tuple(block_of[next(iter(d.step(q, sym)))] for sym in d.alphabet))
-            for q in reachable
-        }
-        fresh: dict[object, int] = {}
-        new_block_of = {}
-        for q in reachable:
-            sig = signature[q]
-            if sig not in fresh:
-                fresh[sig] = len(fresh)
-            new_block_of[q] = fresh[sig]
-        if len(set(new_block_of.values())) == len(set(block_of.values())):
-            block_of = new_block_of
-            break
-        block_of = new_block_of
+    number = {q: i for i, q in enumerate(reachable)}
+    letters = range(len(d.alphabet))
+    # inverse[s][t]: the states whose move on letter s enters state t
+    inverse: list[list[list[int]]] = [[[] for _ in reachable] for _ in letters]
+    for i, q in enumerate(reachable):
+        for s, sym in enumerate(d.alphabet):
+            (t,) = d.step(q, sym)
+            inverse[s][number[t]].append(i)
+    accepting_ids = {i for i, q in enumerate(reachable) if q in d.accepting}
+    blocks = [side for side in (accepting_ids,
+                                set(range(len(reachable))) - accepting_ids)
+              if side]
+    block_of = [0] * len(reachable)
+    for b, block in enumerate(blocks):
+        for i in block:
+            block_of[i] = b
+    smaller = min(range(len(blocks)), key=lambda b: len(blocks[b]))
+    pending = [(smaller, s) for s in letters]
+    queued = set(pending)
+    while pending:
+        splitter = pending.pop()
+        queued.remove(splitter)
+        b, s = splitter
+        hits: dict[int, list[int]] = {}
+        for t in blocks[b]:
+            for i in inverse[s][t]:
+                hits.setdefault(block_of[i], []).append(i)
+        for c, hit in hits.items():
+            if len(hit) == len(blocks[c]):
+                continue
+            new = len(blocks)
+            blocks[c].difference_update(hit)
+            blocks.append(set(hit))
+            for i in hit:
+                block_of[i] = new
+            for r in letters:
+                half = (new if (c, r) in queued or len(hit) <= len(blocks[c])
+                        else c)
+                pending.append((half, r))
+                queued.add((half, r))
     members: dict[int, list[str]] = {}
-    for q in reachable:
-        members.setdefault(block_of[q], []).append(q)
+    for i, q in enumerate(reachable):
+        members.setdefault(block_of[i], []).append(q)
     ordered_blocks = sorted(members, key=lambda b: min(d.state_index(q)
                                                        for q in members[b]))
     taken: set[str] = set()
@@ -156,12 +183,13 @@ def minimize(d: Automaton) -> Automaton:
         representative = members[block][0]
         for sym in d.alphabet:
             (t,) = d.step(representative, sym)
-            transitions[(names[block], sym)] = frozenset((names[block_of[t]],))
+            transitions[(names[block], sym)] = frozenset(
+                (names[block_of[number[t]]],))
     states = [names[b] for b in ordered_blocks]
     accepting = [names[b] for b in ordered_blocks
                  if members[b][0] in d.accepting]
-    return Automaton(d.alphabet, states, [names[block_of[start]]], accepting,
-                     transitions)
+    return Automaton(d.alphabet, states, [names[block_of[number[start]]]],
+                     accepting, transitions)
 
 
 def complement(d: Automaton) -> Automaton:

@@ -229,7 +229,7 @@ def test_criterion_02_extremal_family_shape_and_unique_rejected_word():
 
 def test_criterion_03_diagonal_blowup_lower_bound():
     start = time.monotonic()
-    for n in (2, 3):
+    for n in range(2, 7):
         small = minimize(determinize(build_a(n, n)))
         assert len(small.states) >= math.comb(2 * n, n), n
     assert time.monotonic() - start < 60.0

@@ -99,7 +99,7 @@ def test_verify_extremal_families():
 
 
 def test_minimal_dfa_blowup_on_the_diagonal():
-    for n in (1, 2, 3):
+    for n in range(1, 6):
         report = verify_extremal(n, n, do_minimize=True)
         assert report.min_dfa_bound == math.comb(2 * n, n)
         assert report.min_dfa_states >= report.min_dfa_bound

@@ -104,6 +104,61 @@ def test_minimize_is_canonical_on_random_nfas():
         assert len(again.states) == len(m.states)
 
 
+def test_minimize_matches_pairwise_distinguishability():
+    # reference: table filling over the reachable states; the classes of
+    # indistinguishable states, named and ordered as minimize names them
+    rng = random.Random(31)
+    pruned = merged = 0
+    for trial in range(300):
+        n = rng.randint(1, 30)
+        alphabet = ("a", "b", "c")[:rng.randint(1, 3)]
+        states = [f"s{i}" for i in range(n)]
+        delta = {(q, sym): rng.choice(states)
+                 for q in states for sym in alphabet}
+        accepting = set(rng.sample(states, rng.randint(0, n)))
+        # a random start leaves some states unreachable
+        start = rng.choice(states)
+        d = Automaton(alphabet, states, [start], accepting,
+                      {key: [t] for key, t in delta.items()})
+        seen, stack = {start}, [start]
+        while stack:
+            q = stack.pop()
+            for sym in alphabet:
+                if delta[q, sym] not in seen:
+                    seen.add(delta[q, sym])
+                    stack.append(delta[q, sym])
+        reachable = [q for q in states if q in seen]
+        pairs = [frozenset(pair)
+                 for pair in itertools.combinations(reachable, 2)]
+        apart = {pair for pair in pairs if len(pair & accepting) == 1}
+        changed = True
+        while changed:
+            changed = False
+            for pair in pairs:
+                p, q = pair
+                if pair not in apart and any(
+                        frozenset((delta[p, sym], delta[q, sym])) in apart
+                        for sym in alphabet):
+                    apart.add(pair)
+                    changed = True
+        name = {q: "{" + ",".join(p for p in reachable if p == q
+                                  or frozenset((p, q)) not in apart) + "}"
+                for q in reachable}
+        m = minimize(d)
+        # reachable is in declaration order, so classes come out ordered
+        # by their least member
+        expected = tuple(dict.fromkeys(name[q] for q in reachable))
+        assert m.states == expected, trial
+        assert m.initial == {name[start]}
+        assert m.accepting == {name[q] for q in reachable if q in accepting}
+        for q in reachable:
+            for sym in alphabet:
+                assert m.step(name[q], sym) == {name[delta[q, sym]]}, trial
+        pruned += len(reachable) < n
+        merged += len(m.states) < len(reachable)
+    assert pruned >= 150 and merged >= 50
+
+
 def test_complement_flips_membership():
     a = contains_a1()
     comp = complement(determinize(a))
