@@ -10,15 +10,16 @@ The automaton classes recognised by ``classify`` form a small lattice:
 
 * ``DFA``          single initial state, at most one move per symbol
 * ``PO_DFA``       deterministic and partially ordered
-* ``RPO_NFA``      partially ordered, self-loops are the only
-                   nondeterminism-free cycles: whenever a state loops
-                   on a symbol it has no other move on that symbol
-* ``PO_NFA``       cycles only through self-loops
+* ``RPO_NFA``      partially ordered, and a state that loops on a
+                   symbol has no other move on that symbol
+* ``PO_NFA``       partially ordered: the only cycles are self-loops
 * ``NFA``          everything else
 
 "Partially ordered" means the reachability relation on states is a
 partial order, equivalently that every cycle in the transition graph
-is a self-loop.
+is a self-loop.  ``components`` is the one pass that answers every
+cycle question: classification, depth, and the cycle checks of the
+triviality and orbit modules.
 """
 
 from __future__ import annotations
@@ -245,18 +246,6 @@ def accepts(a: Automaton, word: Iterable[str]) -> bool:
     return bool(current & a.accepting)
 
 
-def _edges_ignoring_self_loops(a: Automaton) -> dict[str, list[str]]:
-    out: dict[str, list[str]] = {q: [] for q in a.states}
-    seen: set[tuple[str, str]] = set()
-    for sym in a.alphabet:
-        for q in a.states:
-            for t in a.step(q, sym):
-                if t != q and (q, t) not in seen:
-                    seen.add((q, t))
-                    out[q].append(t)
-    return out
-
-
 def _strongly_connected_components(vertices: Sequence[str],
                                    edges: Mapping[str, list[str]]
                                    ) -> list[list[str]]:
@@ -307,26 +296,44 @@ def _strongly_connected_components(vertices: Sequence[str],
     return components
 
 
-def is_partially_ordered(a: Automaton) -> bool:
-    """True when every cycle is a self-loop.
-
-    Self-loops are dropped before the strongly connected component
-    check, so a state looping on itself still counts as ordered.
-    """
-    edges = _edges_ignoring_self_loops(a)
-    return all(len(c) == 1 for c in
-               _strongly_connected_components(a.states, edges))
+def components(a: Automaton) -> list[list[str]]:
+    """Strongly connected components of the transition graph without
+    its self-loops, in reverse topological order.  The search takes
+    roots in state order and each state's successors in alphabet order,
+    so the components come out in a fixed order.  A state on no cycle
+    but its self-loops is a component of its own."""
+    cell = a.transitions.get
+    edges: dict[str, list[str]] = {}
+    # owner[t] is the last state whose list took t; a state owns itself
+    # from the start, so its self-loops are left out
+    owner: dict[str, str] = {}
+    for q in a.states:
+        owner[q] = q
+        edges[q] = out = []
+        for sym in a.alphabet:
+            for t in cell((q, sym), EMPTY):
+                if owner.get(t) != q:
+                    owner[t] = q
+                    out.append(t)
+    return _strongly_connected_components(a.states, edges)
 
 
 def classify(a: Automaton) -> AutomatonClass:
-    """Compute structural flags and the most specific class label."""
-    complete = all(a.step(q, sym) for q in a.states for sym in a.alphabet)
+    """Compute structural flags and the most specific class label.
+
+    The constructor drops empty target sets, so the flags read only the
+    stored cells: the automaton is complete when every (state, symbol)
+    pair has a cell, deterministic when it has one initial state and
+    every cell one target, and self-loop-deterministic when every cell
+    holding its own source holds nothing else.
+    """
+    cells = a.transitions
+    complete = len(cells) == len(a.states) * len(a.alphabet)
     deterministic = len(a.initial) == 1 and all(
-        len(a.step(q, sym)) <= 1 for q in a.states for sym in a.alphabet)
-    ordered = is_partially_ordered(a)
-    loop_det = all(a.step(q, sym) == frozenset((q,))
-                   for q in a.states for sym in a.alphabet
-                   if q in a.step(q, sym))
+        len(targets) == 1 for targets in cells.values())
+    ordered = all(len(c) == 1 for c in components(a))
+    loop_det = all(len(targets) == 1
+                   for (q, _sym), targets in cells.items() if q in targets)
     if deterministic and ordered:
         label = AutomatonKind.PO_DFA
     elif deterministic:
@@ -372,11 +379,11 @@ def depth(a: Automaton) -> int:
     topological order, so every target's longest path is known before
     its sources are reached.
     """
-    edges = _edges_ignoring_self_loops(a)
     longest: dict[str, int] = {}
-    for component in _strongly_connected_components(a.states, edges):
+    for component in components(a):
         if len(component) > 1:
             raise ValueError("depth requires a partially ordered automaton")
         (q,) = component
-        longest[q] = max((1 + longest[t] for t in edges[q]), default=0)
+        longest[q] = max((1 + longest[t] for sym in a.alphabet
+                          for t in a.step(q, sym) if t != q), default=0)
     return max((longest[q] for q in a.initial), default=0)

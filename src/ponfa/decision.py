@@ -10,7 +10,9 @@ both ways.  Three engines decide an inclusion:
                       runs over subsets of the right side alone.
 * ``UNARY_PO``        for single-letter partially ordered automata the
                       only information in a word is its length, and a
-                      short prefix of lengths decides everything.
+                      short prefix of lengths decides everything: both
+                      automata are run once, a letter per length, up
+                      to a threshold length.
 * ``RPONFA_BOUNDED``  for a self-loop-deterministic partially ordered
                       right side the language is a union of
                       prefix-k-equivalence classes for k equal to the
@@ -35,7 +37,7 @@ from __future__ import annotations
 from enum import Enum
 from typing import Optional
 
-from .core import (Automaton, CapacityError, Decision, accepts, classify,
+from .core import (Automaton, CapacityError, Decision, classify,
                    complete_automaton, depth)
 from .ops import DEFAULT_SUBSET_LIMIT, shortest_word
 from .subseq import class_search
@@ -195,10 +197,11 @@ def _includes_unary(a: Automaton, b: Automaton) -> Decision:
         limit = max(threshold_a, depth(b) + 1)
     else:
         limit = max(threshold_a, threshold_b)
+    sa, sb = a.initial, b.initial
     for length in range(limit + 1):
-        word = (symbol,) * length
-        if accepts(a, word) and not accepts(b, word):
-            return Decision(False, word)
+        if sa & a.accepting and not sb & b.accepting:
+            return Decision(False, (symbol,) * length)
+        sa, sb = a.move(sa, symbol), b.move(sb, symbol)
     return Decision(True)
 
 

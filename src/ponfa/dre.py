@@ -22,8 +22,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 
-from .core import (Automaton, CapacityError, _strongly_connected_components,
-                   _edges_ignoring_self_loops)
+from .core import Automaton, CapacityError, components
 from .ops import (DEFAULT_SUBSET_LIMIT, co_reachable_states, determinize,
                   minimize, reachable_states)
 
@@ -54,9 +53,7 @@ def orbits(d: Automaton) -> OrbitDecomposition:
     # component pass
     if len(d.initial) != 1 or any(len(t) > 1 for t in d.transitions.values()):
         raise ValueError("orbit analysis requires a deterministic automaton")
-    components = _strongly_connected_components(
-        d.states, _edges_ignoring_self_loops(d))
-    orbit_list = tuple(frozenset(component) for component in components)
+    orbit_list = tuple(frozenset(component) for component in components(d))
     gate_list = []
     for orbit in orbit_list:
         gate_list.append(frozenset(
@@ -167,10 +164,22 @@ def _definable(d: Automaton | None, depth: int, limit: int,
     return verdict
 
 
-def _orbit_languages_definable(d: Automaton,
-                               decomposition: OrbitDecomposition, depth: int,
-                               limit: int, max_subsets: int,
-                               cache: dict) -> bool:
+def _definable_uncached(d: Automaton, depth: int, limit: int,
+                        max_subsets: int, cache: dict) -> bool:
+    decomposition = orbits(d)
+    if len(decomposition.orbits) == 1:
+        # the whole automaton is one strongly connected component, whose
+        # gates, its accepting states, agree; cut the symbols all
+        # accepting states agree on, to break the component
+        d = _cut_at_accepting(d, _consistent_symbols(d))
+        decomposition = orbits(d)
+        if len(decomposition.orbits) == 1:
+            logger.warning(
+                "strongly connected automaton with %d states survives its "
+                "cut; deciding not definable", len(d.states))
+            return False
+    if not _gates_agree(d, decomposition):
+        return False
     for orbit, gates in zip(decomposition.orbits, decomposition.gates):
         for start in sorted(orbit, key=d.state_index):
             restricted = _restrict(d, orbit, [start], gates)
@@ -178,31 +187,6 @@ def _orbit_languages_definable(d: Automaton,
             if not _definable(reduced, depth + 1, limit, max_subsets, cache):
                 return False
     return True
-
-
-def _definable_uncached(d: Automaton, depth: int, limit: int,
-                        max_subsets: int, cache: dict) -> bool:
-    decomposition = orbits(d)
-    if not _gates_agree(d, decomposition):
-        return False
-    if len(decomposition.orbits) > 1:
-        return _orbit_languages_definable(d, decomposition, depth, limit,
-                                          max_subsets, cache)
-    # the whole automaton is one strongly connected component; cut the
-    # symbols all accepting states agree on, to break the component
-    consistent = _consistent_symbols(d)
-    cut = _cut_at_accepting(d, consistent)
-    cut_decomposition = orbits(cut)
-    whole = frozenset(d.states)
-    if any(orbit == whole for orbit in cut_decomposition.orbits):
-        logger.warning(
-            "strongly connected automaton with %d states survives its cut; "
-            "deciding not definable", len(d.states))
-        return False
-    if not _gates_agree(cut, cut_decomposition):
-        return False
-    return _orbit_languages_definable(cut, cut_decomposition, depth, limit,
-                                      max_subsets, cache)
 
 
 def is_dre_definable(a: Automaton,

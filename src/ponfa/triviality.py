@@ -18,9 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .core import (Automaton, CapacityError, Word,
-                   _edges_ignoring_self_loops, _strongly_connected_components,
-                   accepts, classify)
+from .core import Automaton, CapacityError, Word, accepts, classify, components
 from .ops import (DEFAULT_SUBSET_LIMIT, determinize, minimize, moves,
                   shortest_word)
 from .subseq import SubseqSet, class_search, representative, sub_k
@@ -89,8 +87,7 @@ def is_r_trivial(a: Automaton) -> TrivialityVerdict:
     the shortest of their kind, ties broken by alphabet order.
     """
     minimal = minimize(determinize(a))
-    cyclic = [c for c in _strongly_connected_components(
-        minimal.states, _edges_ignoring_self_loops(minimal)) if len(c) > 1]
+    cyclic = [c for c in components(minimal) if len(c) > 1]
     if not cyclic:
         return TrivialityVerdict(True)
     component = frozenset(min(cyclic,

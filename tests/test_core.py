@@ -1,12 +1,13 @@
 """Automaton data type, JSON round trips, classification, depth."""
 
 import random
+from collections import Counter
 
 import pytest
 
-from ponfa.core import (Automaton, AutomatonKind, FormatError, accepts,
-                        classify, complete_automaton, depth, parse_automaton,
-                        parse_word, serialize_automaton)
+from ponfa.core import (Automaton, AutomatonClass, AutomatonKind, FormatError,
+                        accepts, classify, complete_automaton, depth,
+                        parse_automaton, parse_word, serialize_automaton)
 
 
 def two_chain():
@@ -150,6 +151,61 @@ def test_classify_nondeterministic_classes():
     nfa = Automaton(("a",), ("p", "q"), ["p", "q"], ["q"],
                     {("p", "a"): ["q"], ("q", "a"): ["p"]})
     assert classify(nfa).label is AutomatonKind.NFA
+
+
+def reference_class(a):
+    """The five classification fields from their definitions: cycles
+    are found by the transitive closure of the moves between distinct
+    states, one Warshall pass."""
+    cells = {(q, sym): a.step(q, sym) for q in a.states for sym in a.alphabet}
+    complete = all(cells.values())
+    deterministic = len(a.initial) == 1 and all(
+        len(targets) <= 1 for targets in cells.values())
+    reach = {q: {t for sym in a.alphabet for t in cells[q, sym] if t != q}
+             for q in a.states}
+    for middle in a.states:
+        for q in a.states:
+            if middle in reach[q]:
+                reach[q] |= reach[middle]
+    ordered = not any(q in reach[q] for q in a.states)
+    loop_det = all(targets == {q} for (q, _sym), targets in cells.items()
+                   if q in targets)
+    if deterministic:
+        label = AutomatonKind.PO_DFA if ordered else AutomatonKind.DFA
+    elif ordered:
+        label = AutomatonKind.RPO_NFA if loop_det else AutomatonKind.PO_NFA
+    else:
+        label = AutomatonKind.NFA
+    return AutomatonClass(label, complete, deterministic, ordered, loop_det)
+
+
+def test_classify_matches_its_definitions():
+    rng = random.Random(41)
+    labels = Counter()
+    for trial in range(500):
+        n = rng.randint(1, 7)
+        alphabet = ("a", "b", "c")[:rng.randint(1, 3)]
+        rank = [f"s{i}" for i in range(n)]
+        # two draws in five have one target per cell and mostly one
+        # initial state; half the draws move only forward
+        single = trial % 5 < 2
+        missing = rng.choice((0.0, 0.2))
+        transitions = {}
+        for i, q in enumerate(rank):
+            pool = rank[i:] if trial % 2 == 0 else rank
+            for symbol in alphabet:
+                if rng.random() >= missing:
+                    width = 1 if single else rng.randint(1, 2)
+                    transitions[(q, symbol)] = rng.sample(
+                        pool, min(len(pool), width))
+        states = rng.sample(rank, n)
+        starts = rng.choice((0, 1, 1, 1, 2)) if single else rng.randint(0, 2)
+        initial = rng.sample(rank, min(n, starts))
+        a = Automaton(alphabet, states, initial, [], transitions)
+        expected = reference_class(a)
+        assert classify(a) == expected, trial
+        labels[expected.label] += 1
+    assert all(labels[kind] >= 20 for kind in AutomatonKind), labels
 
 
 def test_two_initial_states_are_nondeterministic():

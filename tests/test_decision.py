@@ -4,10 +4,11 @@ import itertools
 import json
 import logging
 import random
+import time
 
 import pytest
 
-from ponfa.core import Automaton, CapacityError, accepts, classify
+from ponfa.core import Automaton, CapacityError, Decision, accepts, classify
 from ponfa.decision import Strategy, equivalent, includes, is_universal
 from ponfa.extremal import build_a, build_w
 
@@ -282,6 +283,33 @@ def test_unary_inclusion():
     with pytest.raises(ValueError):
         includes(sigma_star(("a", "b")), sigma_star(("a", "b")),
                  strategy=Strategy.UNARY_PO)
+
+
+def unary_chain(length, loop):
+    """One-letter chain of ``length`` accepting states; with ``loop`` the
+    last state loops, so the language is a*, otherwise a^0 .. a^(length-1)."""
+    states = [f"s{i}" for i in range(length)]
+    transitions = {(states[i], "a"): [states[i + 1]] for i in range(length - 1)}
+    if loop:
+        transitions[(states[-1], "a")] = [states[-1]]
+    return Automaton(("a",), states, [states[0]], states, transitions)
+
+
+def test_unary_engine_walks_a_long_chain_once():
+    # the engine advances one subset per side a letter at a time; a
+    # fresh simulation per length is quadratic, about 20 s per call on
+    # a 2-vCPU host
+    length = 5000
+    universal = unary_chain(length, loop=True)
+    finite = unary_chain(length, loop=False)
+    start = time.monotonic()
+    for decide, args in ((is_universal, (universal,)),
+                         (includes, (finite, universal)),
+                         (includes, (universal, finite))):
+        unary = decide(*args, strategy=Strategy.UNARY_PO)
+        assert unary == decide(*args, strategy=Strategy.GENERIC)
+    assert time.monotonic() - start < 5.0
+    assert unary == Decision(False, ("a",) * length)
 
 
 def wide_chain(length, width):
