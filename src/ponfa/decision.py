@@ -62,26 +62,6 @@ def _sigma_star(alphabet: tuple[str, ...]) -> Automaton:
                      {("all", sym): ["all"] for sym in alphabet})
 
 
-def _choose(strategy: Strategy, left: Optional[Automaton],
-            right: Automaton) -> Optional[int]:
-    """Check the requirements of the unary or bounded engine for
-    L(left) ⊆ L(right), ``left`` None standing for Σ*, and return the
-    class depth k of the right side when the engine is
-    ``RPONFA_BOUNDED``."""
-    flags = classify(right)
-    if strategy is Strategy.UNARY_PO:
-        if not (len(right.alphabet) == 1 and flags.is_partially_ordered
-                and (left is None or classify(left).is_partially_ordered)):
-            raise ValueError("the unary engine requires unary partially "
-                             "ordered automata")
-        return None
-    if not (flags.is_partially_ordered and flags.is_self_loop_deterministic):
-        raise ValueError("the bounded engine requires the right-hand "
-                         "automaton to be partially ordered with "
-                         "deterministic self-loops")
-    return depth(complete_automaton(right))
-
-
 def _decide(left: Optional[Automaton], right: Automaton,
             strategy: "Strategy | str", max_nodes: int) -> Decision:
     """Is L(left) ⊆ L(right)?  ``left`` None stands for Σ* over the
@@ -89,13 +69,24 @@ def _decide(left: Optional[Automaton], right: Automaton,
     engine = Strategy(strategy)
     if engine is Strategy.GENERIC:
         return _includes_generic(left, right, max_nodes)
-    k = _choose(engine, left, right)
+    flags = classify(right)
+    if engine is Strategy.UNARY_PO:
+        if not (len(right.alphabet) == 1 and flags.is_partially_ordered
+                and (left is None or classify(left).is_partially_ordered)):
+            raise ValueError("the unary engine requires unary partially "
+                             "ordered automata")
+        return _includes_unary(
+            _sigma_star(right.alphabet) if left is None else left, right)
+    if not (flags.is_partially_ordered and flags.is_self_loop_deterministic):
+        raise ValueError("the bounded engine requires the right-hand "
+                         "automaton to be partially ordered with "
+                         "deterministic self-loops")
+    # L(right) is a union of prefix-k classes for k the depth of the
+    # completed automaton: right accepts a word exactly when it accepts
+    # the word's class representative
+    k = depth(complete_automaton(right))
     if left is None:
         left = _sigma_star(right.alphabet)
-    if engine is Strategy.UNARY_PO:
-        return _includes_unary(left, right)
-    # L(right) is a union of prefix-k classes: right accepts a word
-    # exactly when it accepts the word's class representative
     word = class_search(
         left, right, k,
         lambda sa, sb: bool(sa & left.accepting) and not sb & right.accepting,

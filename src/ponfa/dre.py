@@ -3,18 +3,25 @@
 A deterministic (one-unambiguous) regular expression is one where,
 while reading a word left to right, each symbol matches a unique
 position of the expression.  Whether a language has such an expression
-is decided on its minimal DFA through the orbit criterion: strongly
-connected components must present a uniform face to the rest of the
-automaton, and the languages looping inside each component must be
+is decided on its minimal DFA through the orbit criterion of
+Brüggemann-Klein and Wood: the strongly connected components, or
+orbits, must present a uniform face to the rest of the automaton (the
+orbit property), and the languages looping inside each orbit must be
 definable in turn.
 
 The recursion needs care on strongly connected automata, where the
-component is the whole machine and restricting to it makes no
-progress.  There the decision proceeds by cutting, at the accepting
-states, the symbols on which all accepting states agree; if cutting
-cannot break the component the language is not definable.  The cut is
-where this implementation goes beyond the plain restatement of the
-criterion, and the no-progress verdict is logged when it decides.
+orbit is the whole machine and restricting to it makes no progress.
+There the decision proceeds by cutting, at the accepting states, the
+symbols on which all accepting states agree; if cutting cannot break
+the orbit the language is not definable.  The cut is where this
+implementation goes beyond the plain restatement of the criterion, and
+the no-progress verdict is logged when it decides.
+
+The recursion runs only on the orbit languages of orbits with two or
+more states; each has a minimal DFA smaller than the automaton it came
+from, so the nesting is bounded by the state count.  Verdicts are not
+memoised: equal orbit languages are rare enough that a key per call
+costs more than it saves.
 """
 
 from __future__ import annotations
@@ -22,9 +29,9 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 
-from .core import Automaton, CapacityError, components
+from .core import Automaton, components
 from .ops import (DEFAULT_SUBSET_LIMIT, co_reachable_states, determinize,
-                  minimize, reachable_states)
+                  minimize)
 
 logger = logging.getLogger(__name__)
 
@@ -110,22 +117,9 @@ def _trim(d: Automaton) -> Automaton | None:
     return _restrict(d, useful, initial, d.accepting & useful)
 
 
-def _minimal_trimmed(a: Automaton, max_subsets: int) -> Automaton | None:
+def _minimal_trimmed(a: Automaton,
+                     max_subsets: int = DEFAULT_SUBSET_LIMIT) -> Automaton | None:
     return _trim(minimize(determinize(a, max_subsets)))
-
-
-def _canonical_key(d: Automaton) -> tuple:
-    """Isomorphism-invariant form of a trimmed DFA: states renumbered
-    in breadth-first order from the initial state."""
-    numbering = {q: i for i, q in enumerate(reachable_states(d))}
-    edges = tuple(sorted(
-        (numbering[source], symbol, numbering[target])
-        for (source, symbol), targets in d.transitions.items()
-        for target in targets
-        if source in numbering and target in numbering))
-    accepting = tuple(sorted(numbering[q] for q in d.accepting
-                             if q in numbering))
-    return (d.alphabet, len(numbering), accepting, edges)
 
 
 def _consistent_symbols(d: Automaton) -> set[str]:
@@ -149,23 +143,11 @@ def _cut_at_accepting(d: Automaton, symbols: set[str]) -> Automaton:
                      transitions)
 
 
-def _definable(d: Automaton | None, depth: int, limit: int,
-               max_subsets: int, cache: dict) -> bool:
+def _definable(d: Automaton | None) -> bool:
+    """Whether the language of a trimmed minimal DFA, None standing for
+    the empty language, is definable."""
     if d is None or len(d.states) <= 1:
         return True
-    if depth > limit:
-        raise CapacityError(f"orbit recursion reached depth {depth}, "
-                            f"beyond its guard of {limit}")
-    key = _canonical_key(d)
-    if key in cache:
-        return cache[key]
-    cache[key] = verdict = _definable_uncached(d, depth, limit, max_subsets,
-                                               cache)
-    return verdict
-
-
-def _definable_uncached(d: Automaton, depth: int, limit: int,
-                        max_subsets: int, cache: dict) -> bool:
     decomposition = orbits(d)
     if len(decomposition.orbits) == 1:
         # the whole automaton is one strongly connected component, whose
@@ -181,10 +163,15 @@ def _definable_uncached(d: Automaton, depth: int, limit: int,
     if not _gates_agree(d, decomposition):
         return False
     for orbit, gates in zip(decomposition.orbits, decomposition.gates):
+        # the orbit language of a single state has a minimal DFA of at
+        # most one state, which is always definable
+        if len(orbit) == 1:
+            continue
         for start in sorted(orbit, key=d.state_index):
+            # an orbit of m states, fewer than d has, determinizes to at
+            # most m + 1 subsets, so the top-level budget cannot bind
             restricted = _restrict(d, orbit, [start], gates)
-            reduced = _minimal_trimmed(restricted, max_subsets)
-            if not _definable(reduced, depth + 1, limit, max_subsets, cache):
+            if not _definable(_minimal_trimmed(restricted)):
                 return False
     return True
 
@@ -193,7 +180,6 @@ def is_dre_definable(a: Automaton,
                      max_subsets: int = DEFAULT_SUBSET_LIMIT) -> bool:
     """Whether the language of the automaton is definable by a
     deterministic regular expression.  The input may be any automaton;
-    the decision runs on its minimal DFA."""
-    d = _minimal_trimmed(a, max_subsets)
-    limit = (len(d.states) if d is not None else 0) + 8
-    return _definable(d, 0, limit, max_subsets, {})
+    the decision runs on its minimal DFA, and ``max_subsets`` bounds
+    the subset construction that builds it."""
+    return _definable(_minimal_trimmed(a, max_subsets))

@@ -138,8 +138,9 @@ def verify_extremal(k: int, n: int, do_minimize: bool = False) -> ExtremalReport
     the word.  With ``do_minimize`` the minimal deterministic size is
     measured as well; for k == n it must reach C(2n, n).
     """
-    automaton = build_a(k, n)
+    # the word's length cap raises before the automaton is built
     word = build_w(k, n)
+    automaton = build_a(k, n)
     state_count = len(automaton.states)
     dfa = determinize(automaton)
     rejected = complement(dfa)

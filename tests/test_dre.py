@@ -5,10 +5,11 @@ import random
 
 import pytest
 
-from ponfa.core import Automaton, CapacityError, classify
-from ponfa.dre import _definable, has_orbit_property, is_dre_definable, orbits
+from ponfa import dre
+from ponfa.core import Automaton, classify
+from ponfa.dre import has_orbit_property, is_dre_definable, orbits
 from ponfa.extremal import build_a
-from ponfa.ops import DEFAULT_SUBSET_LIMIT, determinize, minimize
+from ponfa.ops import determinize, minimize
 from ponfa.triviality import is_r_trivial
 
 
@@ -67,10 +68,68 @@ def test_orbits_require_determinism():
         orbits(second_last_b())
 
 
-def test_depth_guard_raises_capacity_error():
-    with pytest.raises(CapacityError,
-                       match="reached depth 3, beyond its guard of 2"):
-        _definable(loop_plus(), 3, 2, DEFAULT_SUBSET_LIMIT, {})
+def suffix_b(m):
+    """Σ*bΣ^m over {a, b}: the (m + 1)-th letter from the end is b."""
+    states = [f"q{i}" for i in range(m + 2)]
+    transitions = {("q0", "a"): ["q0"], ("q0", "b"): ["q0", "q1"]}
+    for i in range(1, m + 1):
+        for symbol in ("a", "b"):
+            transitions[(states[i], symbol)] = [states[i + 1]]
+    return Automaton(("a", "b"), states, ["q0"], [states[-1]], transitions)
+
+
+def random_nfa(rng):
+    n_states = rng.randint(2, 6)
+    alphabet = ("a", "b", "c")[:rng.randint(1, 3)]
+    states = [f"s{i}" for i in range(n_states)]
+    transitions = {(q, symbol): rng.sample(states, rng.randint(0, 2))
+                   for q in states for symbol in alphabet}
+    return Automaton(alphabet, states,
+                     rng.sample(states, rng.randint(1, 2)),
+                     rng.sample(states, rng.randint(0, n_states)),
+                     transitions)
+
+
+def test_each_recursive_call_gets_a_smaller_automaton(monkeypatch):
+    # why the recursion needs no depth guard: nesting is bounded by the
+    # state count of the minimal DFA
+    recurse = dre._definable
+    sizes = []
+    checked = 0
+
+    def watched(d):
+        nonlocal checked
+        size = 0 if d is None else len(d.states)
+        if sizes:
+            assert size < sizes[-1]
+            checked += 1
+        sizes.append(size)
+        try:
+            return recurse(d)
+        finally:
+            sizes.pop()
+
+    monkeypatch.setattr(dre, "_definable", watched)
+    rng = random.Random(11)
+    inputs = [loop_plus(), second_last_b(), build_a(3, 3)]
+    inputs += [suffix_b(m) for m in range(7)]
+    inputs += [random_nfa(rng) for _ in range(500)]
+    for machine in inputs:
+        is_dre_definable(machine)
+    assert checked >= 40
+
+
+def test_ordered_minimal_automaton_builds_no_orbit_language(monkeypatch):
+    built = []
+    reduce = dre._minimal_trimmed
+
+    def counted(a, *args):
+        built.append(a)
+        return reduce(a, *args)
+
+    monkeypatch.setattr(dre, "_minimal_trimmed", counted)
+    assert is_dre_definable(build_a(4, 4)) is True
+    assert len(built) == 1
 
 
 def test_single_state_universal_language():

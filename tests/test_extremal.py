@@ -2,9 +2,11 @@
 
 import itertools
 import math
+import time
 
 import pytest
 
+from ponfa.cli import main
 from ponfa.core import (AutomatonKind, CapacityError, accepts, classify)
 from ponfa.extremal import build_a, build_w, verify_extremal
 from ponfa.ops import INFINITE, complement, count_language_size, determinize
@@ -96,6 +98,17 @@ def test_verify_extremal_families():
             assert report.state_count == n * (k + 2)
             assert report.rejected_count == 1
             assert report.rejected_word_matches
+
+
+def test_verify_extremal_checks_the_word_cap_first():
+    start = time.perf_counter()
+    with pytest.raises(CapacityError):
+        verify_extremal(80, 80)
+    assert time.perf_counter() - start < 0.5
+    assert main(["verify-extremal", "80", "80"]) == 2
+    for k, n in ((0, 2), (2, 0), (-1, 2)):
+        with pytest.raises(ValueError):
+            verify_extremal(k, n)
 
 
 def test_minimal_dfa_blowup_on_the_diagonal():
