@@ -27,6 +27,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from enum import Enum
+from json.encoder import encode_basestring_ascii
 from typing import Iterable, Mapping, Sequence
 
 Word = tuple[str, ...]
@@ -197,23 +198,28 @@ def serialize_automaton(a: Automaton) -> str:
 
     Transitions are sorted by source state, then symbol, then target,
     all in declaration order, so serializing a parsed file is a fixed
-    point after one round trip.
+    point after one round trip.  The text is what ``json.dumps`` with
+    ``indent=2`` prints, plus a newline, written directly: each name is
+    quoted once, and the lists are joined at their fixed indents.
     """
-    triples = []
-    for (q, sym), targets in a.transitions.items():
-        for t in targets:
-            triples.append((a.state_index(q), a.symbol_index(sym),
-                            a.state_index(t)))
-    triples.sort()
-    doc = {
-        "alphabet": list(a.alphabet),
-        "states": list(a.states),
-        "initial": sorted(a.initial, key=a.state_index),
-        "accepting": sorted(a.accepting, key=a.state_index),
-        "transitions": [[a.states[qi], a.alphabet[si], a.states[ti]]
-                        for qi, si, ti in triples],
+    states = [encode_basestring_ascii(q) for q in a.states]
+    symbols = [encode_basestring_ascii(sym) for sym in a.alphabet]
+    index = a.state_index
+    triples = sorted((index(q), a.symbol_index(sym), index(t))
+                     for (q, sym), targets in a.transitions.items()
+                     for t in targets)
+    fields = {
+        "alphabet": symbols,
+        "states": states,
+        "initial": [states[i] for i in sorted(map(index, a.initial))],
+        "accepting": [states[i] for i in sorted(map(index, a.accepting))],
+        "transitions": [f"[\n      {states[q]},\n      {symbols[s]},\n"
+                        f"      {states[t]}\n    ]" for q, s, t in triples],
     }
-    return json.dumps(doc, indent=2) + "\n"
+    return "{\n" + ",\n".join(
+        f'  "{key}": ' + ("[\n    " + ",\n    ".join(items) + "\n  ]"
+                          if items else "[]")
+        for key, items in fields.items()) + "\n}\n"
 
 
 def parse_word(tokens: Sequence[str] | str, alphabet: Sequence[str]) -> Word:

@@ -30,8 +30,7 @@ import logging
 from dataclasses import dataclass
 
 from .core import Automaton, components
-from .ops import (DEFAULT_SUBSET_LIMIT, co_reachable_states, determinize,
-                  minimize)
+from .ops import DEFAULT_SUBSET_LIMIT, co_reachable_states, minimal_dfa
 
 logger = logging.getLogger(__name__)
 
@@ -119,7 +118,7 @@ def _trim(d: Automaton) -> Automaton | None:
 
 def _minimal_trimmed(a: Automaton,
                      max_subsets: int = DEFAULT_SUBSET_LIMIT) -> Automaton | None:
-    return _trim(minimize(determinize(a, max_subsets)))
+    return _trim(minimal_dfa(a, max_subsets))
 
 
 def _consistent_symbols(d: Automaton) -> set[str]:

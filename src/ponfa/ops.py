@@ -7,6 +7,11 @@ read it.  ``shortest_word`` searches for a goal node and stops at the
 first one; it gives every witness.  Witness words returned by the
 emptiness test are always the shortest accepted word, with ties broken
 lexicographically by alphabet order.
+
+Determinization and minimization work on integer tables: subsets are
+frozensets of state indices, and one Hopcroft core partitions a table
+of successor numbers.  It serves ``minimize`` and ``minimal_dfa``; the
+latter feeds it the subset table and never builds the intermediate DFA.
 """
 
 from __future__ import annotations
@@ -34,12 +39,6 @@ def _claim(name: str, taken: set[str]) -> str:
         name += "'"
     taken.add(name)
     return name
-
-
-def _subset_name(a: Automaton, subset: frozenset[str],
-                 taken: set[str]) -> str:
-    members = sorted(subset, key=a.state_index)
-    return _claim("{" + ",".join(members) + "}", taken)
 
 
 def _explore(starts: Iterable[Node],
@@ -78,29 +77,64 @@ def co_reachable_states(a: Automaton) -> set[str]:
     return set(_explore(a.accepting, inverse.__getitem__))
 
 
-def determinize(a: Automaton, max_subsets: int = DEFAULT_SUBSET_LIMIT) -> Automaton:
-    """Subset construction.  The result is always complete.
+def _set_names(states: Sequence[str],
+               sets: Iterable[Iterable[int]]) -> list[str]:
+    """One name per set of state indices, such as ``{q0,q2}``, with the
+    members in index order and the names made unique by ``_claim``."""
+    taken: set[str] = set()
+    return [_claim("{" + ",".join([states[i] for i in sorted(members)]) + "}",
+                   taken) for members in sets]
 
-    Unreachable subsets are never materialised; the empty subset acts
-    as the rejecting sink when some move is missing.  Exceeding
-    ``max_subsets`` distinct subsets raises ``CapacityError``.
+
+def _subset_table(a: Automaton, max_subsets: int
+                  ) -> tuple[list[frozenset[int]], list[list[int]], set[int]]:
+    """Subset construction over state indices.
+
+    Returns the reachable subsets in breadth-first discovery order, the
+    successor table (``table[i][s]`` is the index of the subset that
+    subset ``i`` moves to on letter ``s``) and the indices of the
+    accepting subsets.  Subset 0 is the set of initial states.
     """
+    index = a.state_index
+    none: frozenset[int] = frozenset()
+    # rows[s][q]: the targets of state q on letter s
+    rows = [[none] * len(a.states) for _ in a.alphabet]
+    for (q, sym), targets in a.transitions.items():
+        rows[a.symbol_index(sym)][index(q)] = frozenset(map(index, targets))
+    lookups = [(sym, row.__getitem__) for sym, row in zip(a.alphabet, rows)]
     try:
-        graph = _explore([a.initial], lambda subset: [
-            (sym, a.move(subset, sym)) for sym in a.alphabet], max_subsets)
+        graph = _explore([frozenset(map(index, a.initial))], lambda subset: [
+            (sym, none.union(*map(targets_of, subset)))
+            for sym, targets_of in lookups], max_subsets)
     except CapacityError:
         raise CapacityError(
             f"subset construction exceeded {max_subsets} states") from None
-    taken: set[str] = set()
-    names = {subset: _subset_name(a, subset, taken) for subset in graph}
+    number = {subset: i for i, subset in enumerate(graph)}
+    table = [[number[target] for _sym, target in edges]
+             for edges in graph.values()]
+    accepting = frozenset(map(index, a.accepting))
+    return (list(graph), table,
+            {i for i, subset in enumerate(graph) if subset & accepting})
+
+
+def determinize(a: Automaton, max_subsets: int = DEFAULT_SUBSET_LIMIT) -> Automaton:
+    """Subset construction.  The result is always complete.
+
+    Subsets are frozensets of state indices, discovered breadth first;
+    each is named by its members in declaration order, such as
+    ``{q0,q2}``.  Unreachable subsets are never materialised; the empty
+    subset ``{}`` acts as the rejecting sink when some move is missing.
+    Exceeding ``max_subsets`` distinct subsets raises ``CapacityError``.
+    """
+    subsets, table, accepting = _subset_table(a, max_subsets)
+    names = _set_names(a.states, subsets)
     # one frozenset per target state, not one per move
-    targets = {subset: frozenset((name,)) for subset, name in names.items()}
-    transitions = {(names[subset], sym): targets[target]
-                   for subset, edges in graph.items()
-                   for sym, target in edges}
-    accepting = [names[s] for s in graph if s & a.accepting]
-    return Automaton(a.alphabet, list(names.values()), [names[a.initial]],
-                     accepting, transitions)
+    targets = [frozenset((name,)) for name in names]
+    transitions = {(names[i], sym): targets[t]
+                   for i, row in enumerate(table)
+                   for sym, t in zip(a.alphabet, row)}
+    return Automaton(a.alphabet, names, [names[0]],
+                     [names[i] for i in sorted(accepting)], transitions)
 
 
 def _require_complete_dfa(a: Automaton, operation: str) -> None:
@@ -114,35 +148,29 @@ def _require_complete_dfa(a: Automaton, operation: str) -> None:
                     f"state {q!r} has {len(a.step(q, sym))} moves on {sym!r}")
 
 
-def minimize(d: Automaton) -> Automaton:
-    """Minimal complete DFA for the language of ``d``.
+def _hopcroft(table: list[list[int]], accepting: set[int]) -> list[int]:
+    """Block number of each state of a complete DFA given as a successor
+    table, in the coarsest partition that separates accepting from
+    rejecting states and that every letter maps into itself.
 
-    Unreachable states are discarded, then states are merged by
-    Hopcroft's partition refinement (in the form of Valmari, "Fast
+    Hopcroft's partition refinement, in the form of Valmari ("Fast
     brief practical DFA minimization", 2012).  Starting from the
     accepting / rejecting split, a (block, letter) splitter cuts every
     block that holds only some of the states whose move on the letter
     enters the splitter block.  When a block is cut, a half is queued
     with each letter: the new half where the block was still queued
-    with that letter, the smaller half otherwise.  The state count of
-    the result equals the number of distinguishable residual languages.
+    with that letter, the smaller half otherwise.
     """
-    _require_complete_dfa(d, "minimize")
-    (start,) = d.initial
-    reachable = reachable_states(d)
-    number = {q: i for i, q in enumerate(reachable)}
-    letters = range(len(d.alphabet))
+    letters = range(len(table[0]))
     # inverse[s][t]: the states whose move on letter s enters state t
-    inverse: list[list[list[int]]] = [[[] for _ in reachable] for _ in letters]
-    for i, q in enumerate(reachable):
-        for s, sym in enumerate(d.alphabet):
-            (t,) = d.step(q, sym)
-            inverse[s][number[t]].append(i)
-    accepting_ids = {i for i, q in enumerate(reachable) if q in d.accepting}
-    blocks = [side for side in (accepting_ids,
-                                set(range(len(reachable))) - accepting_ids)
+    inverse: list[list[list[int]]] = [[[] for _ in table] for _ in letters]
+    for i, row in enumerate(table):
+        for s, t in enumerate(row):
+            inverse[s][t].append(i)
+    blocks = [side for side in (set(accepting),
+                                set(range(len(table))) - accepting)
               if side]
-    block_of = [0] * len(reachable)
+    block_of = [0] * len(table)
     for b, block in enumerate(blocks):
         for i in block:
             block_of[i] = b
@@ -170,26 +198,60 @@ def minimize(d: Automaton) -> Automaton:
                         else c)
                 pending.append((half, r))
                 queued.add((half, r))
-    members: dict[int, list[str]] = {}
-    for i, q in enumerate(reachable):
-        members.setdefault(block_of[i], []).append(q)
-    ordered_blocks = sorted(members, key=lambda b: min(d.state_index(q)
-                                                       for q in members[b]))
-    taken: set[str] = set()
-    names = {block: _subset_name(d, frozenset(members[block]), taken)
-             for block in ordered_blocks}
-    transitions = {}
-    for block in ordered_blocks:
-        representative = members[block][0]
-        for sym in d.alphabet:
-            (t,) = d.step(representative, sym)
-            transitions[(names[block], sym)] = frozenset(
-                (names[block_of[number[t]]],))
-    states = [names[b] for b in ordered_blocks]
-    accepting = [names[b] for b in ordered_blocks
-                 if members[b][0] in d.accepting]
-    return Automaton(d.alphabet, states, [names[block_of[number[start]]]],
-                     accepting, transitions)
+    return block_of
+
+
+def _quotient(alphabet: Sequence[str], names: Sequence[str],
+              table: list[list[int]], accepting: set[int], start: int,
+              block_of: list[int]) -> Automaton:
+    """The DFA whose states are the blocks of ``block_of``, over a
+    complete DFA whose states are numbered in declaration order.
+    Blocks come in the order of their first member and are named by
+    their members, such as ``{{q0},{q1,q2}}`` for two subsets."""
+    members: dict[int, list[int]] = {}
+    for i, b in enumerate(block_of):
+        members.setdefault(b, []).append(i)
+    block_names = dict(zip(members, _set_names(names, members.values())))
+    # one frozenset per target block, not one per move
+    targets = {b: frozenset((name,)) for b, name in block_names.items()}
+    transitions = {(name, sym): targets[block_of[t]]
+                   for b, name in block_names.items()
+                   for sym, t in zip(alphabet, table[members[b][0]])}
+    return Automaton(alphabet, list(block_names.values()),
+                     [block_names[block_of[start]]],
+                     [name for b, name in block_names.items()
+                      if members[b][0] in accepting], transitions)
+
+
+def minimize(d: Automaton) -> Automaton:
+    """Minimal complete DFA for the language of ``d``.
+
+    Unreachable states are discarded, then states are merged by the
+    Hopcroft core that ``minimal_dfa`` also runs, over ``d`` read into
+    an integer successor table.  The state count of the result equals
+    the number of distinguishable residual languages.
+    """
+    _require_complete_dfa(d, "minimize")
+    reachable = set(reachable_states(d))
+    # numbered in declaration order, as _quotient requires
+    states = [q for q in d.states if q in reachable]
+    number = {q: i for i, q in enumerate(states)}
+    table = [[number[t] for sym in d.alphabet for t in d.step(q, sym)]
+             for q in states]
+    accepting = {i for i, q in enumerate(states) if q in d.accepting}
+    (start,) = d.initial
+    return _quotient(d.alphabet, states, table, accepting, number[start],
+                     _hopcroft(table, accepting))
+
+
+def minimal_dfa(a: Automaton,
+                max_subsets: int = DEFAULT_SUBSET_LIMIT) -> Automaton:
+    """``minimize(determinize(a, max_subsets))``, built from the subset
+    table without the intermediate automaton: the same states, names,
+    transitions and ``CapacityError``."""
+    subsets, table, accepting = _subset_table(a, max_subsets)
+    return _quotient(a.alphabet, _set_names(a.states, subsets), table,
+                     accepting, 0, _hopcroft(table, accepting))
 
 
 def complement(d: Automaton) -> Automaton:

@@ -19,8 +19,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .core import Automaton, CapacityError, Word, accepts, classify, components
-from .ops import (DEFAULT_SUBSET_LIMIT, determinize, minimize, moves,
-                  shortest_word)
+from .ops import DEFAULT_SUBSET_LIMIT, minimal_dfa, moves, shortest_word
 from .subseq import SubseqSet, class_search, representative, sub_k
 
 DEFAULT_PATH_LIMIT = 10**6
@@ -86,7 +85,7 @@ def is_r_trivial(a: Automaton) -> TrivialityVerdict:
     access words, one of which traverses the cycle once; both words are
     the shortest of their kind, ties broken by alphabet order.
     """
-    minimal = minimize(determinize(a))
+    minimal = minimal_dfa(a)
     cyclic = [c for c in components(minimal) if len(c) > 1]
     if not cyclic:
         return TrivialityVerdict(True)
@@ -139,7 +138,7 @@ def is_k_r_trivial_oracle(a: Automaton, k: int) -> TrivialityVerdict:
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
-    minimal = minimize(determinize(a))
+    minimal = minimal_dfa(a)
     (start_state,) = minimal.initial
     empty = sub_k((), k)
     start = ((empty,), start_state)

@@ -1,5 +1,6 @@
 """Automaton data type, JSON round trips, classification, depth."""
 
+import json
 import random
 from collections import Counter
 
@@ -8,6 +9,7 @@ import pytest
 from ponfa.core import (Automaton, AutomatonClass, AutomatonKind, FormatError,
                         accepts, classify, complete_automaton, depth,
                         parse_automaton, parse_word, serialize_automaton)
+from ponfa.reductions import Dtm, dtm_to_ponfa
 
 
 def two_chain():
@@ -81,6 +83,55 @@ def test_parse_serialize_round_trip():
     assert a == b
     # canonical form is a fixed point
     assert serialize_automaton(b) == text
+
+
+def dumped(a):
+    """The canonical document of ``a`` written by ``json.dumps``, the
+    layout that ``serialize_automaton`` writes directly."""
+    triples = sorted((a.state_index(q), a.symbol_index(sym), a.state_index(t))
+                     for (q, sym), targets in a.transitions.items()
+                     for t in targets)
+    doc = {
+        "alphabet": list(a.alphabet),
+        "states": list(a.states),
+        "initial": sorted(a.initial, key=a.state_index),
+        "accepting": sorted(a.accepting, key=a.state_index),
+        "transitions": [[a.states[q], a.alphabet[s], a.states[t]]
+                        for q, s, t in triples],
+    }
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def test_serialize_writes_the_json_dumps_layout():
+    names = ["q", 'say "hi"', "back\\slash", "caf\u00e9", "\u65e5\u672c",
+             "x,y", "{z}", "tab\t", ""]
+    symbols = ["a", "\u00fc", '"', "b\\", "\U0001f600"]
+    rng = random.Random(23)
+    automata = [two_chain(),
+                Automaton(("a",), ("p",), [], [], {}),
+                Automaton(("a",), ("p", "q"), [], [], {("p", "a"): ["q"]})]
+    for _ in range(300):
+        n = rng.randint(1, 6)
+        states = rng.sample(names, n)
+        alphabet = rng.sample(symbols, rng.randint(1, 3))
+        transitions = {(q, sym): rng.sample(states, rng.randint(0, min(2, n)))
+                       for q in states for sym in alphabet
+                       if rng.random() < 0.6}
+        automata.append(Automaton(
+            alphabet, states,
+            rng.sample(states, rng.randint(0, min(2, n))),
+            rng.sample(states, rng.randint(0, n)), transitions))
+    # one cell, accepting the input 1 in a single step
+    machine = Dtm(states=("go", "yes"), tape_alphabet=("1", "_"),
+                  input_alphabet=("1",), blank="_", initial="go",
+                  accepting="yes",
+                  transitions={("go", "1"): ("yes", "1", "S"),
+                               ("go", "_"): ("go", "_", "S")},
+                  space_bound=1)
+    automata.append(dtm_to_ponfa(machine, ("1",)))
+    for a in automata:
+        assert serialize_automaton(a) == dumped(a)
+    assert serialize_automaton(automata[1]).count("[]") == 3
 
 
 def test_parse_merges_duplicate_triples():

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from ponfa import dre
+from ponfa import dre, ops, triviality
 from ponfa.core import Automaton, classify
 from ponfa.dre import has_orbit_property, is_dre_definable, orbits
 from ponfa.extremal import build_a
@@ -130,6 +130,19 @@ def test_ordered_minimal_automaton_builds_no_orbit_language(monkeypatch):
     monkeypatch.setattr(dre, "_minimal_trimmed", counted)
     assert is_dre_definable(build_a(4, 4)) is True
     assert len(built) == 1
+
+
+def test_deciders_build_no_intermediate_dfa(monkeypatch):
+    # both deciders go from the input to its minimal DFA in one step
+    def refuse(*args, **kwargs):
+        raise AssertionError("an intermediate DFA was built")
+
+    for module in (ops, triviality, dre):
+        for name in ("determinize", "minimize"):
+            monkeypatch.setattr(module, name, refuse, raising=False)
+    for machine, verdict in ((suffix_b(6), False), (build_a(3, 3), True)):
+        assert is_r_trivial(machine).holds is verdict
+        assert is_dre_definable(machine) is verdict
 
 
 def test_single_state_universal_language():

@@ -5,10 +5,12 @@ import random
 
 import pytest
 
-from ponfa.core import Automaton, CapacityError, accepts, classify
+from ponfa.core import (Automaton, CapacityError, accepts, classify,
+                        serialize_automaton)
 from ponfa.ops import (INFINITE, co_reachable_states, complement,
-                       count_language_size, determinize, is_empty, minimize,
-                       product_intersection, reachable_states)
+                       count_language_size, determinize, is_empty,
+                       minimal_dfa, minimize, product_intersection,
+                       reachable_states)
 
 
 def contains_a1():
@@ -157,6 +159,38 @@ def test_minimize_matches_pairwise_distinguishability():
         pruned += len(reachable) < n
         merged += len(m.states) < len(reachable)
     assert pruned >= 150 and merged >= 50
+
+
+def test_minimal_dfa_equals_minimize_of_determinize():
+    # names with commas make generated names collide, and the initial
+    # set is empty about a third of the time
+    pool = ["p", "q", "p,q", "r", "q,r", "p,q,r", "p,r"]
+    rng = random.Random(29)
+    primed = capped = 0
+
+    def outcome(build, *args):
+        try:
+            return serialize_automaton(build(*args))
+        except CapacityError as error:
+            return str(error)
+
+    for trial in range(500):
+        n = rng.randint(1, 7)
+        alphabet = ("a", "b", "c")[:rng.randint(1, 3)]
+        states = rng.sample(pool, n)
+        transitions = {(q, sym): rng.sample(states, rng.randint(0, min(n, 2)))
+                       for q in states for sym in alphabet}
+        a = Automaton(alphabet, states,
+                      rng.sample(states, rng.randint(0, min(n, 2))),
+                      rng.sample(states, rng.randint(0, n)), transitions)
+        text = outcome(minimal_dfa, a)
+        assert text == outcome(lambda: minimize(determinize(a))), trial
+        primed += "'" in text
+        for cap in (1, 2, 3, 5):
+            expected = outcome(lambda: minimize(determinize(a, cap)))
+            assert outcome(minimal_dfa, a, cap) == expected, (trial, cap)
+            capped += expected.startswith("subset construction exceeded")
+    assert primed >= 20 and capped >= 500
 
 
 def test_complement_flips_membership():
