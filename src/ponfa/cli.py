@@ -1,49 +1,36 @@
 """Command line front end.
 
 Each subcommand prints one JSON object on standard output (except
-``gen-w``, which prints the word as space separated tokens).  The exit
-code reports how the computation went, not what it decided: 0 for a
-completed run whatever the verdict, 1 for usage and input format
-errors, 2 for capacity and internal errors.
+``gen-w``, which prints the word as space separated tokens).  A handler
+returns what gets printed: a payload dict (keys ``result``, ``witness``,
+the command's own, ``stats``, in that order), an ``Automaton``, which
+``main`` serializes, or text.  One parser, built on the first ``main``
+call, serves the process.  The exit code reports how the computation
+went, not what it decided: 0 for a completed run whatever the verdict,
+1 for usage and input format errors, 2 for capacity and internal errors.
+
+``universal``, ``include`` and ``equal`` share one handler, which checks
+a witness again before printing it: of the automata in argument order,
+reversed when ``equal`` finds the witness "second-only", all but the
+last must accept the witness and the last must reject it.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Optional, Sequence
 
-from .core import (Automaton, CapacityError, FormatError, Word, accepts,
-                   classify, parse_automaton, parse_word, serialize_automaton)
+from .core import (Automaton, CapacityError, FormatError, accepts, classify,
+                   parse_automaton, parse_word, serialize_automaton)
 from .decision import Strategy, equivalent, includes, is_universal
 from .dre import is_dre_definable
 from .extremal import build_a, build_w, verify_extremal
 from .ops import DEFAULT_SUBSET_LIMIT
 from .reductions import cnf_to_rponfa, dtm_to_ponfa, parse_dimacs, parse_dtm
 from .triviality import is_k_r_trivial, is_r_trivial
-
-
-class CommandResult:
-    """What a subcommand hands back for printing: the verdict or
-    value, an optional witness word, and optional counters."""
-
-    def __init__(self, result, witness: Optional[Word] = None,
-                 stats: Optional[dict] = None, extra: Optional[dict] = None):
-        self.result = result
-        self.witness = witness
-        self.stats = stats
-        self.extra = extra
-
-    def to_payload(self) -> dict:
-        payload = {"result": self.result}
-        if self.witness is not None:
-            payload["witness"] = list(self.witness)
-        if self.extra:
-            payload.update(self.extra)
-        if self.stats:
-            payload["stats"] = self.stats
-        return payload
 
 
 def _read_file(path: str) -> str:
@@ -58,105 +45,82 @@ def _load_automaton(path: str) -> Automaton:
     return parse_automaton(_read_file(path))
 
 
-def _check_witness(witness: Word, accepted_by: Sequence[Automaton],
-                   rejected_by: Sequence[Automaton]) -> None:
-    for automaton in accepted_by:
-        if not accepts(automaton, witness):
-            raise RuntimeError("witness failed re-validation before printing")
-    for automaton in rejected_by:
-        if accepts(automaton, witness):
-            raise RuntimeError("witness failed re-validation before printing")
-
-
-def _cmd_classify(args) -> CommandResult:
+def _cmd_classify(args) -> dict:
     flags = classify(_load_automaton(args.automaton))
-    return CommandResult(flags.label.value, extra={
-        "complete": flags.is_complete,
-        "deterministic": flags.is_deterministic,
-        "partially_ordered": flags.is_partially_ordered,
-        "self_loop_deterministic": flags.is_self_loop_deterministic,
-    })
+    return {"result": flags.label.value,
+            "complete": flags.is_complete,
+            "deterministic": flags.is_deterministic,
+            "partially_ordered": flags.is_partially_ordered,
+            "self_loop_deterministic": flags.is_self_loop_deterministic}
 
 
-def _cmd_universal(args) -> CommandResult:
-    automaton = _load_automaton(args.automaton)
-    decision = is_universal(automaton, strategy=args.strategy,
-                            max_nodes=args.max_subsets)
-    if decision.witness is not None:
-        _check_witness(decision.witness, [], [automaton])
-    return CommandResult(decision.holds, decision.witness)
+def _cmd_decide(args) -> dict:
+    # the deciders are looked up per call, so that a wrapper installed on
+    # the module attribute (perfbench's tracer) sees the call
+    if args.command == "universal":
+        automata, decide = [_load_automaton(args.automaton)], is_universal
+    else:
+        automata = [_load_automaton(args.first), _load_automaton(args.second)]
+        decide = includes if args.command == "include" else equivalent
+    decision = decide(*automata, strategy=args.strategy,
+                      max_nodes=args.max_subsets)
+    payload = {"result": decision.holds}
+    witness = decision.witness
+    if witness is not None:
+        if decision.direction == "second-only":
+            automata.reverse()
+        if (not all(accepts(automaton, witness) for automaton in automata[:-1])
+                or accepts(automata[-1], witness)):
+            raise RuntimeError("witness failed re-validation before printing")
+        payload["witness"] = list(witness)
+        if decision.direction is not None:
+            payload["direction"] = decision.direction
+    return payload
 
 
-def _cmd_include(args) -> CommandResult:
-    first = _load_automaton(args.first)
-    second = _load_automaton(args.second)
-    decision = includes(first, second, strategy=args.strategy,
-                        max_nodes=args.max_subsets)
-    if decision.witness is not None:
-        _check_witness(decision.witness, [first], [second])
-    return CommandResult(decision.holds, decision.witness)
-
-
-def _cmd_equal(args) -> CommandResult:
-    first = _load_automaton(args.first)
-    second = _load_automaton(args.second)
-    decision = equivalent(first, second, strategy=args.strategy,
-                          max_nodes=args.max_subsets)
-    extra = {}
-    if decision.witness is not None:
-        if decision.direction == "first-only":
-            _check_witness(decision.witness, [first], [second])
-        else:
-            _check_witness(decision.witness, [second], [first])
-        extra["direction"] = decision.direction
-    return CommandResult(decision.holds, decision.witness, extra=extra)
-
-
-def _cmd_rtrivial(args) -> CommandResult:
+def _cmd_rtrivial(args) -> dict:
     automaton = _load_automaton(args.automaton)
     if args.k is None:
         verdict = is_r_trivial(automaton)
     else:
         verdict = is_k_r_trivial(automaton, args.k)
-    extra = {}
+    payload = {"result": verdict.holds}
     if verdict.k_used is not None:
-        extra["k"] = verdict.k_used
+        payload["k"] = verdict.k_used
     if verdict.split_class is not None:
         representative, accepted, rejected = verdict.split_class
-        extra["split_class"] = {"representative": list(representative),
-                                "accepted": list(accepted),
-                                "rejected": list(rejected)}
+        payload["split_class"] = {"representative": list(representative),
+                                  "accepted": list(accepted),
+                                  "rejected": list(rejected)}
     if verdict.cycle_words is not None:
-        extra["cycle_words"] = [list(word) for word in verdict.cycle_words]
-    return CommandResult(verdict.holds, extra=extra)
+        payload["cycle_words"] = [list(word) for word in verdict.cycle_words]
+    return payload
 
 
 def _cmd_gen_w(args) -> str:
     return " ".join(build_w(args.k, args.n))
 
 
-def _cmd_gen_a(args) -> str:
-    return serialize_automaton(build_a(args.k, args.n))
+def _cmd_gen_a(args) -> Automaton:
+    return build_a(args.k, args.n)
 
 
-def _cmd_reduce_cnf(args) -> str:
-    formula = parse_dimacs(_read_file(args.formula))
-    return serialize_automaton(cnf_to_rponfa(formula))
+def _cmd_reduce_cnf(args) -> Automaton:
+    return cnf_to_rponfa(parse_dimacs(_read_file(args.formula)))
 
 
-def _cmd_reduce_tm(args) -> str:
+def _cmd_reduce_tm(args) -> Automaton:
     machine = parse_dtm(_read_file(args.machine))
     word = parse_word(args.input, machine.input_alphabet)
-    return serialize_automaton(dtm_to_ponfa(machine, word))
+    return dtm_to_ponfa(machine, word)
 
 
-def _cmd_dre(args) -> CommandResult:
-    automaton = _load_automaton(args.automaton)
-    return CommandResult(is_dre_definable(automaton,
-                                          max_subsets=args.max_subsets))
+def _cmd_dre(args) -> dict:
+    return {"result": is_dre_definable(_load_automaton(args.automaton),
+                                       max_subsets=args.max_subsets)}
 
 
-def _cmd_verify_extremal(args) -> CommandResult:
+def _cmd_verify_extremal(args) -> dict:
     report = verify_extremal(args.k, args.n, do_minimize=args.minimize)
     passed = (report.rejected_count == 1 and report.rejected_word_matches
               and report.state_count == report.expected_states
@@ -170,7 +134,7 @@ def _cmd_verify_extremal(args) -> CommandResult:
     if report.min_dfa_states is not None:
         stats["min_dfa_states"] = report.min_dfa_states
         stats["min_dfa_bound"] = report.min_dfa_bound
-    return CommandResult(passed, stats=stats)
+    return {"result": passed, "stats": stats}
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -204,6 +168,7 @@ def _add_decision_flags(parser: argparse.ArgumentParser) -> None:
     _add_max_subsets(parser)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = _ArgumentParser(prog="ponfa",
                              description="partially ordered NFA toolkit")
@@ -217,21 +182,21 @@ def _build_parser() -> argparse.ArgumentParser:
                                                 "every word")
     sub.add_argument("automaton")
     _add_decision_flags(sub)
-    sub.set_defaults(handler=_cmd_universal)
+    sub.set_defaults(handler=_cmd_decide)
 
     sub = commands.add_parser("include", help="is the first language "
                                               "contained in the second")
     sub.add_argument("first")
     sub.add_argument("second")
     _add_decision_flags(sub)
-    sub.set_defaults(handler=_cmd_include)
+    sub.set_defaults(handler=_cmd_decide)
 
     sub = commands.add_parser("equal", help="do the automata accept the "
                                             "same language")
     sub.add_argument("first")
     sub.add_argument("second")
     _add_decision_flags(sub)
-    sub.set_defaults(handler=_cmd_equal)
+    sub.set_defaults(handler=_cmd_decide)
 
     sub = commands.add_parser("rtrivial", help="is the language R-trivial")
     sub.add_argument("automaton")
@@ -280,8 +245,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         output = args.handler(args)
     except (FormatError, ValueError) as error:
@@ -290,10 +254,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (CapacityError, RecursionError, RuntimeError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
-    if isinstance(output, CommandResult):
-        print(json.dumps(output.to_payload()))
+    if isinstance(output, Automaton):
+        sys.stdout.write(serialize_automaton(output))
     else:
-        print(output)
+        print(json.dumps(output) if isinstance(output, dict) else output)
     return 0
 
 

@@ -7,10 +7,12 @@ from pathlib import Path
 
 import pytest
 
+import ponfa.cli
 import ponfa.reductions
 from ponfa.cli import _build_parser, main
-from ponfa.core import parse_automaton, serialize_automaton
+from ponfa.core import Decision, parse_automaton, parse_word, serialize_automaton
 from ponfa.extremal import build_a
+from ponfa.reductions import cnf_to_rponfa, dtm_to_ponfa, parse_dimacs, parse_dtm
 
 
 @pytest.fixture
@@ -77,30 +79,73 @@ def test_gen_a_prints_the_automaton(capsys):
     assert parse_automaton(out) == build_a(2, 2)
 
 
-def test_include_and_equal(extremal_path, tmp_path, capsys):
-    everything = tmp_path / "all.json"
-    everything.write_text(json.dumps({
+@pytest.fixture
+def everything(tmp_path):
+    path = tmp_path / "all.json"
+    path.write_text(json.dumps({
         "alphabet": ["a1", "a2"],
         "states": ["u"],
         "initial": ["u"],
         "accepting": ["u"],
         "transitions": [["u", "a1", "u"], ["u", "a2", "u"]],
     }))
-    code, out, _ = run(capsys, "include", extremal_path, str(everything))
+    return str(path)
+
+
+def test_include_and_equal(extremal_path, everything, capsys):
+    code, out, _ = run(capsys, "include", extremal_path, everything)
     assert code == 0 and json.loads(out) == {"result": True}
 
-    code, out, _ = run(capsys, "include", str(everything), extremal_path)
+    code, out, _ = run(capsys, "include", everything, extremal_path)
     payload = json.loads(out)
     assert code == 0 and payload["result"] is False
     assert payload["witness"] == ["a1", "a1", "a2", "a1", "a2"]
 
-    code, out, _ = run(capsys, "equal", extremal_path, str(everything))
+    code, out, _ = run(capsys, "equal", extremal_path, everything)
     payload = json.loads(out)
     assert code == 0 and payload["result"] is False
     assert payload["direction"] == "second-only"
 
     code, out, _ = run(capsys, "equal", extremal_path, extremal_path)
     assert code == 0 and json.loads(out) == {"result": True}
+
+
+REJECTED = ("a1", "a1", "a2", "a1", "a2")   # the one word build_a(2, 2) rejects
+
+
+@pytest.mark.parametrize("command, decider, order, decision, passes", [
+    # the witness is accepted by build_a(2, 2), so it shows nothing
+    ("universal", "is_universal", "a", Decision(False, ("a1",)), False),
+    ("universal", "is_universal", "a", Decision(False, REJECTED), True),
+    # the first automaton must accept it, the second must reject it
+    ("include", "includes", "ae", Decision(False, REJECTED), False),
+    ("include", "includes", "ea", Decision(False, ("a1",)), False),
+    ("include", "includes", "ea", Decision(False, REJECTED), True),
+    ("equal", "equivalent", "ae",
+     Decision(False, REJECTED, "first-only"), False),
+    ("equal", "equivalent", "ea",
+     Decision(False, REJECTED, "first-only"), True),
+    # second-only reverses the pair: the second must accept, the first reject
+    ("equal", "equivalent", "ea",
+     Decision(False, REJECTED, "second-only"), False),
+    ("equal", "equivalent", "ae",
+     Decision(False, REJECTED, "second-only"), True),
+])
+def test_witness_is_rechecked_before_printing(extremal_path, everything, capsys,
+                                              monkeypatch, command, decider,
+                                              order, decision, passes):
+    monkeypatch.setattr(ponfa.cli, decider, lambda *args, **kwargs: decision)
+    files = [{"a": extremal_path, "e": everything}[key] for key in order]
+    code, out, err = run(capsys, command, *files)
+    if passes:
+        assert (code, err) == (0, "")
+        payload = {"result": False, "witness": list(decision.witness)}
+        if decision.direction is not None:
+            payload["direction"] = decision.direction
+        assert json.loads(out) == payload
+    else:
+        assert (code, out) == (2, "")
+        assert err == "error: witness failed re-validation before printing\n"
 
 
 def test_rtrivial(extremal_path, capsys):
@@ -167,6 +212,23 @@ def test_reduce_tm_past_the_state_budget_exits_two(machine_path, capsys,
     code, out, err = run(capsys, "reduce-tm", machine_path, "1")
     assert (code, out) == (2, "")
     assert err == "error: construction exceeded 100 states\n"
+
+
+def test_automaton_commands_print_the_serializer_text(machine_path, tmp_path,
+                                                     capsys):
+    formula = tmp_path / "f.cnf"
+    formula.write_text("p cnf 2 2\n1 2 0\n-1 -2 0\n")
+    machine = parse_dtm(Path(machine_path).read_text())
+    expected = {
+        ("gen-a", "2", "2"): build_a(2, 2),
+        ("reduce-cnf", str(formula)):
+            cnf_to_rponfa(parse_dimacs(formula.read_text())),
+        ("reduce-tm", machine_path, "1"):
+            dtm_to_ponfa(machine, parse_word("1", machine.input_alphabet)),
+    }
+    for argv, automaton in expected.items():
+        # no blank line after the serializer's own closing newline
+        assert run(capsys, *argv) == (0, serialize_automaton(automaton), "")
 
 
 def test_dre(extremal_path, capsys):
@@ -255,3 +317,32 @@ def test_readme_command_lines_parse():
         exercised.update(token for token in tokens if token.startswith("--"))
     # a flag the prose names must appear on a command line that parses
     assert set(re.findall(r"--[a-z][a-z-]*", section)) <= exercised
+
+
+def test_one_parser_serves_every_call(extremal_path, capsys):
+    assert _build_parser() is _build_parser()
+    code, out, _ = run(capsys, "rtrivial", extremal_path, "--k", "2")
+    assert code == 0 and json.loads(out)["k"] == 2
+    # a namespace left over from the last call would carry its k
+    code, out, _ = run(capsys, "rtrivial", extremal_path)
+    assert code == 0 and json.loads(out) == {"result": True}
+    with pytest.raises(SystemExit) as info:
+        main(["gen-w", "2"])
+    assert info.value.code == 1
+    capsys.readouterr()
+    assert run(capsys, "gen-w", "2", "2") == (0, "a1 a1 a2 a1 a2\n", "")
+
+
+def test_deciders_are_looked_up_per_call(extremal_path, capsys, monkeypatch):
+    # perfbench's tracer wraps the module attributes after the import
+    calls = []
+    original = ponfa.cli.includes
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(ponfa.cli, "includes", counted)
+    code, out, _ = run(capsys, "include", extremal_path, extremal_path)
+    assert code == 0 and json.loads(out) == {"result": True}
+    assert len(calls) == 1
