@@ -183,12 +183,14 @@ def parse_automaton(text: str) -> Automaton:
                 raise FormatError(f"field {field!r} contains non-string {item!r}")
     transitions: dict[tuple[str, str], set[str]] = {}
     for entry in raw["transitions"]:
-        if (not isinstance(entry, list) or len(entry) != 3
-                or not all(isinstance(part, str) for part in entry)):
-            raise FormatError(f"transition {entry!r} is not a [src, symbol, dst] "
-                              "triple of strings")
-        src, symbol, dst = entry
-        transitions.setdefault((src, symbol), set()).add(dst)
+        if isinstance(entry, list) and len(entry) == 3:
+            src, symbol, dst = entry
+            if (isinstance(src, str) and isinstance(symbol, str)
+                    and isinstance(dst, str)):
+                transitions.setdefault((src, symbol), set()).add(dst)
+                continue
+        raise FormatError(f"transition {entry!r} is not a [src, symbol, dst] "
+                          "triple of strings")
     return Automaton(raw["alphabet"], raw["states"], raw["initial"],
                      raw["accepting"], transitions)
 

@@ -7,7 +7,12 @@ both ways.  Three engines decide an inclusion:
 * ``GENERIC``         on-the-fly subset construction with breadth-first
                       search for a word accepted on the left and
                       rejected on the right; for universality the search
-                      runs over subsets of the right side alone.
+                      runs over subsets of the right side alone.  A
+                      subset steps on a letter as one union of the
+                      letter's row, ``state -> targets``, over its
+                      members.  The rows are filled on first lookup,
+                      not up front, because most searches stop after a
+                      few subsets.
 * ``UNARY_PO``        for single-letter partially ordered automata the
                       only information in a word is its length, and a
                       short prefix of lengths decides everything: both
@@ -37,7 +42,7 @@ from __future__ import annotations
 from enum import Enum
 from typing import Optional
 
-from .core import (Automaton, CapacityError, Decision, classify,
+from .core import (EMPTY, Automaton, CapacityError, Decision, classify,
                    complete_automaton, depth)
 from .ops import DEFAULT_SUBSET_LIMIT, shortest_word
 from .subseq import class_search
@@ -89,7 +94,8 @@ def _decide(left: Optional[Automaton], right: Automaton,
         left = _sigma_star(right.alphabet)
     word = class_search(
         left, right, k,
-        lambda sa, sb: bool(sa & left.accepting) and not sb & right.accepting,
+        lambda sa, sb: (not left.accepting.isdisjoint(sa)
+                        and right.accepting.isdisjoint(sb)),
         max_nodes)
     return Decision(True) if word is None else Decision(False, word)
 
@@ -121,33 +127,66 @@ def includes(a: Automaton, b: Automaton,
     return _decide(a, b, strategy, max_nodes)
 
 
+class _Row(dict):
+    """One automaton's moves on one letter, ``state -> targets``.  A
+    cell is read from the transition table the first time it is looked
+    up, so a search pays only for the states it meets."""
+
+    __slots__ = ("cells", "symbol")
+
+    def __init__(self, a: Automaton, symbol: str):
+        super().__init__()
+        self.cells = a.transitions
+        self.symbol = symbol
+
+    def __missing__(self, q: str) -> frozenset[str]:
+        self[q] = targets = self.cells.get((q, self.symbol), EMPTY)
+        return targets
+
+
 def _includes_generic(left: Optional[Automaton], right: Automaton,
                       max_nodes: int) -> Decision:
     """Breadth-first search for a word accepted by ``left`` (None: Σ*)
     and rejected by ``right``, over subsets of ``right`` or over pairs
-    of subsets."""
+    of subsets.
+
+    A subset steps on a letter through that letter's row, one C-level
+    union of its members' cells with no loop per state.  The rows belong
+    to this search and fill on first lookup: filling them up front costs
+    |Q|·|Σ| before the first step, more than the many searches that stop
+    after a few subsets spend in all.  ``Automaton.move`` keeps its loop:
+    its other callers step automata built afresh for each call, where a
+    row would seldom be read twice.
+    """
     absorbing = _absorbing_accepting(right)
+    union = EMPTY.union
     if left is None:
+        rows = [(sym, _Row(right, sym).__getitem__) for sym in right.alphabet]
+
         def successors(subset):
-            if not subset & absorbing:
-                for sym in right.alphabet:
-                    yield sym, right.move(subset, sym)
+            if absorbing.isdisjoint(subset):
+                for sym, row in rows:
+                    yield sym, union(*map(row, subset))
 
-        def rejected(subset) -> bool:
-            return not (subset & right.accepting)
-
+        rejected = right.accepting.isdisjoint
         starts = [right.initial]
         message = "universality search exceeded {} subsets"
     else:
+        pair_rows = [(sym, _Row(left, sym).__getitem__,
+                      _Row(right, sym).__getitem__)
+                     for sym in right.alphabet]
+
         def successors(node):
             sa, sb = node
-            if sa and not sb & absorbing:
-                for sym in right.alphabet:
-                    yield sym, (left.move(sa, sym), right.move(sb, sym))
+            if sa and absorbing.isdisjoint(sb):
+                for sym, row_a, row_b in pair_rows:
+                    yield sym, (union(*map(row_a, sa)),
+                                union(*map(row_b, sb)))
 
         def rejected(node) -> bool:
             sa, sb = node
-            return bool(sa & left.accepting) and not (sb & right.accepting)
+            return (not left.accepting.isdisjoint(sa)
+                    and right.accepting.isdisjoint(sb))
 
         starts = [(left.initial, right.initial)]
         message = "inclusion search exceeded {} subset pairs"

@@ -116,7 +116,8 @@ def is_k_r_trivial(a: Automaton, k: int) -> TrivialityVerdict:
         raise ValueError("k must be nonnegative")
 
     def differ(here: frozenset[str], there: frozenset[str]) -> bool:
-        return bool(here & a.accepting) != bool(there & a.accepting)
+        return (a.accepting.isdisjoint(here)
+                != a.accepting.isdisjoint(there))
 
     for smaller in range(k + 1):
         word = class_search(a, a, smaller, differ, DEFAULT_SUBSET_LIMIT)

@@ -146,18 +146,36 @@ def test_parse_merges_duplicate_triples():
     assert a.step("p", "a") == frozenset({"p", "q"})
 
 
-@pytest.mark.parametrize("text", [
-    "not json",
-    "[]",
-    '{"alphabet": ["a"], "states": ["p"], "initial": [], "accepting": []}',
-    '{"alphabet": ["a"], "states": ["p"], "initial": [], "accepting": [],'
-    ' "transitions": [["p", "a"]]}',
-    '{"alphabet": ["a"], "states": [1], "initial": [], "accepting": [],'
-    ' "transitions": []}',
-])
-def test_parse_rejects_malformed(text):
-    with pytest.raises(FormatError):
+TRIPLE = "is not a [src, symbol, dst] triple of strings"
+EMPTY_FIELDS = ('{"alphabet": ["a"], "states": ["p"], "initial": [], '
+                '"accepting": [], "transitions": ')
+MALFORMED = [
+    ("not json", "invalid JSON at line 1: Expecting value"),
+    ("[]", "top-level value must be a JSON object"),
+    ('{"alphabet": ["a"], "states": ["p"], "initial": [], "accepting": []}',
+     "missing field 'transitions'"),
+    (EMPTY_FIELDS + '[["p", "a"]]}',
+     f"transition ['p', 'a'] {TRIPLE}"),
+    ('{"alphabet": ["a"], "states": [1], "initial": [], "accepting": [],'
+     ' "transitions": []}', "field 'states' contains non-string 1"),
+    (EMPTY_FIELDS + '[[1, "a", "p"]]}', f"transition [1, 'a', 'p'] {TRIPLE}"),
+    (EMPTY_FIELDS + '[["p", null, "p"]]}',
+     f"transition ['p', None, 'p'] {TRIPLE}"),
+    (EMPTY_FIELDS + '[["p", "a", 2.5]]}',
+     f"transition ['p', 'a', 2.5] {TRIPLE}"),
+    (EMPTY_FIELDS + '[["p", "a", "p", "p"]]}',
+     f"transition ['p', 'a', 'p', 'p'] {TRIPLE}"),
+    (EMPTY_FIELDS + '[{"p": "a"}]}', f"transition {{'p': 'a'}} {TRIPLE}"),
+    (EMPTY_FIELDS + '["pap"]}', f"transition 'pap' {TRIPLE}"),
+]
+
+
+@pytest.mark.parametrize("text, message", [
+    pytest.param(text, message, id=text) for text, message in MALFORMED])
+def test_parse_rejects_malformed(text, message):
+    with pytest.raises(FormatError) as caught:
         parse_automaton(text)
+    assert str(caught.value) == message
 
 
 def test_parse_word_tokens_and_string():

@@ -11,6 +11,7 @@ import pytest
 from ponfa.core import Automaton, CapacityError, Decision, accepts, classify
 from ponfa.decision import Strategy, equivalent, includes, is_universal
 from ponfa.extremal import build_a, build_w
+from ponfa.ops import shortest_word
 
 
 def all_words(alphabet, max_len):
@@ -92,6 +93,19 @@ def test_extremal_automaton_witness():
     verdict = is_universal(build_a(2, 2))
     assert not verdict.holds
     assert verdict.witness == build_w(2, 2)
+
+
+def test_generic_search_fits_in_its_node_budget():
+    # the least budget at which the search answers, so a step that
+    # stores one subset more or fewer shows here
+    for k, least in ((3, 53), (4, 302), (5, 1691)):
+        a = build_a(k, k)
+        verdict = is_universal(a, max_nodes=least)
+        assert verdict == Decision(False, build_w(k, k))
+        with pytest.raises(CapacityError) as caught:
+            is_universal(a, max_nodes=least - 1)
+        assert str(caught.value) == (
+            f"universality search exceeded {least - 1} subsets")
 
 
 def test_bounded_search_fits_in_its_node_budget():
@@ -345,3 +359,55 @@ def test_wide_chain_beyond_a_machine_word(tmp_path, capsys):
     assert main(["universal", str(path)]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["result"] is False and doc["witness"] == ["x10"]
+
+
+def sparse_nfa(rng, alphabet):
+    """1-7 states; about a third of the cells are missing, and the
+    initial set is empty about a sixth of the time."""
+    states = [f"s{i}" for i in range(rng.randint(1, 7))]
+    transitions = {
+        (q, symbol): rng.sample(states, rng.randint(1, min(3, len(states))))
+        for q in states for symbol in alphabet if rng.random() < 0.65}
+    initial = ([] if rng.random() < 1 / 6 else
+               rng.sample(states, rng.randint(1, min(2, len(states)))))
+    accepting = rng.sample(states, rng.randint(0, len(states)))
+    return Automaton(alphabet, states, initial, accepting, transitions)
+
+
+def reference_includes(left, right):
+    """Inclusion by a plain search over pairs of subsets, stepped with
+    ``Automaton.move`` and without pruning; ``left`` None is Σ*."""
+    if left is None:
+        left = sigma_star(right.alphabet)
+    word = shortest_word(
+        [(left.initial, right.initial)], right.alphabet,
+        lambda node: [(symbol, (left.move(node[0], symbol),
+                                right.move(node[1], symbol)))
+                      for symbol in right.alphabet],
+        lambda node: (bool(node[0] & left.accepting)
+                      and not node[1] & right.accepting))
+    return Decision(True) if word is None else Decision(False, word)
+
+
+def reference_equivalent(a, b):
+    for first, second, direction in ((a, b, "first-only"),
+                                     (b, a, "second-only")):
+        verdict = reference_includes(first, second)
+        if not verdict.holds:
+            return Decision(False, verdict.witness, direction=direction)
+    return Decision(True)
+
+
+def test_generic_matches_a_plain_subset_search():
+    rng = random.Random(43)
+    pairs = []
+    for _ in range(500):
+        alphabet = ("a", "b", "c")[:rng.randint(1, 3)]
+        pairs.append((sparse_nfa(rng, alphabet), sparse_nfa(rng, alphabet)))
+    # c30 is accepting and reached only in the longer chain
+    pairs.append((wide_chain(30, 20), wide_chain(31, 20)))
+    for a, b in pairs:
+        for left, right in ((a, b), (b, a)):
+            assert is_universal(left) == reference_includes(None, left)
+            assert includes(left, right) == reference_includes(left, right)
+        assert equivalent(a, b) == reference_equivalent(a, b)
