@@ -201,7 +201,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = commands.add_parser("rtrivial", help="is the language R-trivial")
     sub.add_argument("automaton")
     sub.add_argument("--k", type=int, default=None,
-                     help="check the counted property at this bound only")
+                     help="decide instead whether the language is a union of "
+                          "prefix-k classes for some k in 0..K, reporting "
+                          "the least such k")
     sub.set_defaults(handler=_cmd_rtrivial)
 
     sub = commands.add_parser("gen-w", help="print the extremal word")

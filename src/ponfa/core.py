@@ -248,8 +248,6 @@ def accepts(a: Automaton, word: Iterable[str]) -> bool:
     for symbol in word:
         if symbol not in a._symbol_index:
             raise ValueError(f"symbol {symbol!r} is not in the alphabet")
-        if not current:
-            return False
         current = a.move(current, symbol)
     return bool(current & a.accepting)
 

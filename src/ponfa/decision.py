@@ -14,10 +14,10 @@ both ways.  Three engines decide an inclusion:
                       not up front, because most searches stop after a
                       few subsets.
 * ``UNARY_PO``        for single-letter partially ordered automata the
-                      only information in a word is its length, and a
-                      short prefix of lengths decides everything: both
-                      automata are run once, a letter per length, up
-                      to a threshold length.
+                      only information in a word is its length: both
+                      automata are run once, a letter per length, until
+                      the pair of subsets repeats, after which no new
+                      length can separate them.
 * ``RPONFA_BOUNDED``  for a self-loop-deterministic partially ordered
                       right side the language is a union of
                       prefix-k-equivalence classes for k equal to the
@@ -155,8 +155,11 @@ def _includes_generic(left: Optional[Automaton], right: Automaton,
     to this search and fill on first lookup: filling them up front costs
     |Q|·|Σ| before the first step, more than the many searches that stop
     after a few subsets spend in all.  ``Automaton.move`` keeps its loop:
-    its other callers step automata built afresh for each call, where a
-    row would seldom be read twice.
+    caching rows on ``Automaton`` and stepping ``move`` through them
+    slowed the bench's class-reps workload from 7,735-7,995 to
+    7,159-7,455 queries/s (three paired 12 s runs on one machine, seeds
+    1-3).  The class search steps one- or two-state subsets, where a
+    row saves little over the loop.
     """
     absorbing = _absorbing_accepting(right)
     union = EMPTY.union
@@ -198,39 +201,20 @@ def _includes_generic(left: Optional[Automaton], right: Automaton,
     return Decision(True) if word is None else Decision(False, word)
 
 
-def _unary_loop_threshold(a: Automaton) -> Optional[int]:
-    """Smallest length of an accepting path through a self-looping
-    state, or None when the language is finite.  Every length at or
-    beyond the threshold is accepted."""
-    symbol = a.alphabet[0]
-    looping = {q for q in a.states if q in a.step(q, symbol)}
-    # a node is a state and whether the path to it passed a loop
-    word = shortest_word(
-        [(q, q in looping) for q in sorted(a.initial, key=a.state_index)],
-        a.alphabet,
-        lambda node: [(symbol, (t, node[1] or t in looping))
-                      for t in a.step(node[0], symbol)],
-        lambda node: node[1] and node[0] in a.accepting)
-    return None if word is None else len(word)
-
-
 def _includes_unary(a: Automaton, b: Automaton) -> Decision:
+    """Run both automata a letter per length until the pair of subsets
+    repeats.  The next pair depends on the current one alone, so from
+    the repeat on the walk only revisits pairs already checked.  On
+    partially ordered automata the subsets stop changing within |Q|
+    letters, which keeps the walk short."""
     symbol = a.alphabet[0]
-    threshold_a = _unary_loop_threshold(a)
-    threshold_b = _unary_loop_threshold(b)
-    if threshold_a is None:
-        # finite left language: every accepted word fits under the depth
-        limit = depth(a)
-    elif threshold_b is None:
-        # the right side accepts no word longer than its depth, so the
-        # length after it separates an infinite left language
-        limit = max(threshold_a, depth(b) + 1)
-    else:
-        limit = max(threshold_a, threshold_b)
     sa, sb = a.initial, b.initial
-    for length in range(limit + 1):
-        if sa & a.accepting and not sb & b.accepting:
-            return Decision(False, (symbol,) * length)
+    seen = set()
+    while (sa, sb) not in seen:
+        # each length so far added one pair to seen
+        if not a.accepting.isdisjoint(sa) and b.accepting.isdisjoint(sb):
+            return Decision(False, (symbol,) * len(seen))
+        seen.add((sa, sb))
         sa, sb = a.move(sa, symbol), b.move(sb, symbol)
     return Decision(True)
 

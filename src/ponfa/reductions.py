@@ -297,7 +297,7 @@ def parse_dtm(text: str) -> Dtm:
 
 class SimulationStatus(Enum):
     ACCEPTED = "accepted"
-    BUDGET_EXCEEDED = "budget_exceeded"
+    LOOPS = "loops"
 
 
 @dataclass(frozen=True)
@@ -320,39 +320,30 @@ class SimulationResult:
         return len(self.configurations) - 1
 
 
-def step_budget(machine: Dtm) -> int:
-    """Number of distinct tape snapshots with cell-local state marks;
-    a deterministic run longer than this has repeated a snapshot and
-    will never accept."""
-    cell_values = len(machine.tape_alphabet) * (len(machine.states) + 1)
-    return cell_values ** machine.space_bound \
-        * machine.space_bound * len(machine.states)
-
-
-def _check_input(machine: Dtm, word: Word) -> None:
+def _starting_configuration(machine: Dtm, word: Word) -> Configuration:
+    """The snapshot before the first step: the input, padded with
+    blanks to the space bound, under the head in the initial state."""
     for symbol in word:
         if symbol not in machine.input_alphabet:
             raise ValueError(f"input symbol {symbol!r} is not in the "
                              "machine's input alphabet")
     if len(word) > machine.space_bound:
         raise ValueError("input longer than the space bound")
+    return Configuration(machine.initial, 1, tuple(word) + (
+        machine.blank,) * (machine.space_bound - len(word)))
 
 
-def simulate(machine: Dtm, word: Word,
-             budget: Optional[int] = None) -> SimulationResult:
-    """Run the machine on the word until it accepts or the step budget
-    runs out.  A head move outside the space window raises ValueError.
+def simulate(machine: Dtm, word: Word) -> SimulationResult:
+    """Run the machine on the word until it accepts or repeats a
+    snapshot.  A deterministic run that repeats one loops forever and
+    never accepts; its trace ends on the repeated snapshot.  A head
+    move outside the space window raises ValueError.
     """
-    _check_input(machine, word)
-    if budget is None:
-        budget = step_budget(machine)
-    tape = list(word) + [machine.blank] * (machine.space_bound - len(word))
-    state, head = machine.initial, 1
-    trace = [Configuration(state, head, tuple(tape))]
+    config = _starting_configuration(machine, word)
+    tape, state, head = list(config.tape), config.state, config.head
+    # insertion-ordered, so the keys are the run so far
+    trace = {config: None}
     while state != machine.accepting:
-        if len(trace) - 1 >= budget:
-            return SimulationResult(SimulationStatus.BUDGET_EXCEEDED,
-                                    tuple(trace))
         state, written, move = machine.transitions[(state, tape[head - 1])]
         tape[head - 1] = written
         if move == "L":
@@ -362,7 +353,11 @@ def simulate(machine: Dtm, word: Word,
         if not 1 <= head <= machine.space_bound:
             raise ValueError(
                 f"head left the tape window after step {len(trace)}")
-        trace.append(Configuration(state, head, tuple(tape)))
+        config = Configuration(state, head, tuple(tape))
+        if config in trace:
+            return SimulationResult(SimulationStatus.LOOPS,
+                                    (*trace, config))
+        trace[config] = None
     return SimulationResult(SimulationStatus.ACCEPTED, tuple(trace))
 
 
@@ -414,9 +409,9 @@ def _encode_configurations(machine: Dtm, encoding: _Encoding,
 
 def encode_run(machine: Dtm, word: Word) -> Optional[Word]:
     """Binary encoding of the accepting computation on the word, or
-    None when the machine does not accept within the step budget.  The
-    encoding is separator, first snapshot, separator, next snapshot,
-    and so on, closing with a separator; every symbol is one block."""
+    None when the run loops (``SimulationStatus.LOOPS``).  The encoding
+    is separator, first snapshot, separator, next snapshot, and so on,
+    closing with a separator; every symbol is one block."""
     outcome = simulate(machine, word)
     if outcome.status is not SimulationStatus.ACCEPTED:
         return None
@@ -639,8 +634,6 @@ def _add_ending_checks(sk: _Sketch, encoding: _Encoding, machine: Dtm,
     head_leaves = [leaves[i] for i, symbol in enumerate(encoding.symbols)
                    if symbol != SEPARATOR
                    and symbol[1] not in (None, machine.accepting)]
-    if not head_leaves:
-        return
     end = sk.state("haltend", accepting=True)
     closing = _trie(sk, "halt", [separator[1:]], lambda _: end)
     live = sk.chain("live", (space - 1) * block_length)
@@ -658,15 +651,14 @@ def dtm_to_ponfa(machine: Dtm, word: Word) -> Automaton:
     given input.  Universal exactly when the machine does not accept
     within its space window.  Builds at most ``DEFAULT_STATE_LIMIT``
     states, and raises CapacityError past that."""
-    _check_input(machine, word)
+    start = _starting_configuration(machine, word)
     encoding = _Encoding(machine)
     sk = _Sketch()
     leaves, all_state, mark = _add_malformed_detectors(sk, encoding.blocks)
-    # a run cut after zero steps holds the starting snapshot alone; its
-    # proper prefixes accept, and a word leaving it goes to all
-    start = simulate(machine, word, budget=0).configurations
+    # the proper prefixes of the starting snapshot accept, and a word
+    # leaving it goes to all
     sk.initial.append(_trie(
-        sk, "init", [_encode_configurations(machine, encoding, start)],
+        sk, "init", [_encode_configurations(machine, encoding, [start])],
         lambda _: None, accepting=True, off=all_state))
     _add_transition_checks(sk, encoding.blocks, mark, all_state,
                            _successor_table(machine, encoding),

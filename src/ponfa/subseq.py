@@ -49,9 +49,6 @@ class SubseqSet:
     k: int
     members: tuple[Word, ...]
 
-    def __contains__(self, word: Word) -> bool:
-        return word in set(self.members)
-
     def extend(self, symbol: str) -> "SubseqSet":
         """Subsequence set after appending one letter."""
         grown = set(self.members)

@@ -135,7 +135,9 @@ def is_k_r_trivial_oracle(a: Automaton, k: int) -> TrivialityVerdict:
     chains of distinct subsequence sets along prefixes, in lockstep
     with the minimal automaton.  The language is a union of classes
     exactly when no chain value co-occurs with both an accepting and a
-    rejecting state of the minimal automaton.
+    rejecting state of the minimal automaton.  Unlike
+    ``is_k_r_trivial`` it decides at ``k`` alone, so a positive verdict
+    reports ``k_used = k``, not the least bound that holds.
     """
     if k < 0:
         raise ValueError("k must be nonnegative")

@@ -165,6 +165,13 @@ def test_rtrivial(extremal_path, capsys):
     assert payload["result"] is True and payload["k"] == 3
 
 
+def test_rtrivial_k_reports_the_least_bound_that_holds(extremal_path, capsys):
+    code, out, _ = run(capsys, "rtrivial", extremal_path, "--k", "5")
+    assert code == 0
+    assert '"k": 3' in out
+    assert json.loads(out) == {"result": True, "k": 3}
+
+
 def test_reduce_cnf(tmp_path, capsys):
     formula = tmp_path / "f.cnf"
     formula.write_text("p cnf 2 2\n1 2 0\n-1 -2 0\n")

@@ -76,6 +76,17 @@ def test_accepts_runs_the_subset_simulation():
         accepts(a, ("zzz",))
 
 
+def test_unknown_symbol_after_the_run_dies_raises():
+    empty_start = Automaton(("a",), ("p",), [], ["p"], {})
+    with pytest.raises(ValueError):
+        accepts(empty_start, ("a", "x"))
+    dying = Automaton(("a", "b"), ("p", "q"), ["p"], ["q"],
+                      {("p", "a"): ["q"]})
+    assert not accepts(dying, ("b", "a"))
+    with pytest.raises(ValueError):
+        accepts(dying, ("b", "x"))
+
+
 def test_parse_serialize_round_trip():
     a = two_chain()
     text = serialize_automaton(a)

@@ -137,15 +137,25 @@ def test_strategies_agree_on_rponfas():
 def test_unary_engine_matches_generic():
     rng = random.Random(19)
     count = 0
+    previous = []
     while count < 40:
         a = random_rponfa(rng, rng.randint(1, 5), ("a",))
         if not classify(a).is_partially_ordered:
             continue
-        unary = is_universal(a, strategy=Strategy.UNARY_PO)
-        generic = is_universal(a, strategy=Strategy.GENERIC)
-        assert unary.holds == generic.holds
-        if not unary.holds:
-            assert unary.witness == generic.witness
+        # the same automaton with no initial or no accepting state
+        variants = [a, Automaton(a.alphabet, a.states, [], a.accepting,
+                                 a.transitions),
+                    Automaton(a.alphabet, a.states, a.initial, [],
+                              a.transitions)]
+        for b in variants:
+            assert (is_universal(b, strategy=Strategy.UNARY_PO)
+                    == is_universal(b, strategy=Strategy.GENERIC))
+            for other in previous:
+                for left, right in ((b, other), (other, b)):
+                    assert (includes(left, right, strategy=Strategy.UNARY_PO)
+                            == includes(left, right,
+                                        strategy=Strategy.GENERIC))
+        previous = variants
         count += 1
 
 

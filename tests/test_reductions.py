@@ -13,7 +13,7 @@ from ponfa.decision import Strategy, is_universal
 from ponfa.reductions import (CnfFormula, Dtm, SimulationStatus, cnf_to_rponfa,
                               dtm_to_ponfa, encode_run, format_checker_ponfa,
                               parse_dimacs, parse_dtm, sat_brute_force,
-                              simulate, step_budget)
+                              simulate)
 
 # one-cell machine that accepts the input 1 in a single step
 ACCEPT1 = Dtm(
@@ -209,13 +209,36 @@ def test_simulation_statuses():
     assert run.configurations[-1].state == "yes"
 
     spin = simulate(REJECT1, ("1",))
-    assert spin.status is SimulationStatus.BUDGET_EXCEEDED
-    assert spin.steps == step_budget(REJECT1)
+    assert spin.status is SimulationStatus.LOOPS
+    assert spin.steps == 1
+    assert spin.configurations[0] == spin.configurations[1]
 
     with pytest.raises(ValueError):
         simulate(ACCEPT1, ("0",))
     with pytest.raises(ValueError):
         simulate(ACCEPT1, ("1", "1"))
+
+
+def test_a_looping_run_stops_at_its_first_repeat():
+    # a pigeonhole bound over the snapshots with cell-local state marks
+    # would allow 590,490 steps to the machine that stays in place at
+    # space 5; its run repeats its first snapshot after a single step
+    idle = Dtm(("go", "yes"), ("0", "1", "_"), ("0", "1"), "_", "go", "yes",
+               {("go", symbol): ("go", symbol, "S")
+                for symbol in ("0", "1", "_")}, 5)
+    # right, left, and back to the starting snapshot
+    bounce = Dtm(("go", "back", "yes"), ("1", "_"), ("1",), "_", "go", "yes",
+                 {("go", "1"): ("back", "1", "R"),
+                  ("go", "_"): ("back", "_", "R"),
+                  ("back", "1"): ("go", "1", "L"),
+                  ("back", "_"): ("go", "_", "L")}, 2)
+    for machine, word, steps in ((idle, ("1", "0"), 1),
+                                 (bounce, ("1",), 2)):
+        run = simulate(machine, word)
+        assert run.status is SimulationStatus.LOOPS
+        assert run.steps == steps
+        assert run.configurations[-1] in run.configurations[:-1]
+        assert encode_run(machine, word) is None
 
 
 def test_walking_off_the_window_is_an_error():
