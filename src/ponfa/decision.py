@@ -12,7 +12,9 @@ both ways.  Three engines decide an inclusion:
                       letter's row, ``state -> targets``, over its
                       members.  The rows are filled on first lookup,
                       not up front, because most searches stop after a
-                      few subsets.
+                      few subsets.  A universality search that stores
+                      |Q| subsets without an answer starts again on
+                      the automaton's ``ops.bisimulation_quotient``.
 * ``UNARY_PO``        for single-letter partially ordered automata the
                       only information in a word is its length: both
                       automata are run once, a letter per length, until
@@ -44,7 +46,7 @@ from typing import Optional
 
 from .core import (EMPTY, Automaton, CapacityError, Decision, classify,
                    complete_automaton, depth)
-from .ops import DEFAULT_SUBSET_LIMIT, shortest_word
+from .ops import DEFAULT_SUBSET_LIMIT, bisimulation_quotient, shortest_word
 from .subseq import class_search
 
 
@@ -72,6 +74,13 @@ def _decide(left: Optional[Automaton], right: Automaton,
     """Is L(left) ⊆ L(right)?  ``left`` None stands for Σ* over the
     alphabet of ``right``."""
     engine = Strategy(strategy)
+    if (engine is Strategy.GENERIC and left is None
+            and max_nodes > len(right.states)):
+        # the quotient costs about |Q| steps, so |Q| subsets come first
+        try:
+            return _includes_generic(None, right, len(right.states))
+        except CapacityError:
+            right = bisimulation_quotient(right)
     if engine is Strategy.GENERIC:
         return _includes_generic(left, right, max_nodes)
     flags = classify(right)

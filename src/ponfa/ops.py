@@ -12,6 +12,8 @@ Determinization and minimization work on integer tables: subsets are
 frozensets of state indices, and one Hopcroft core partitions a table
 of successor numbers.  It serves ``minimize`` and ``minimal_dfa``; the
 latter feeds it the subset table and never builds the intermediate DFA.
+``bisimulation_quotient`` merges the bisimilar states of a partially
+ordered automaton in one pass; universality searches the quotient.
 """
 
 from __future__ import annotations
@@ -20,8 +22,8 @@ from collections import deque
 from typing import (Callable, Hashable, Iterable, Optional, Sequence, TypeVar,
                     Union)
 
-from .core import (Automaton, CapacityError, Decision, Word,
-                   _strongly_connected_components)
+from .core import (EMPTY, Automaton, CapacityError, Decision, Word,
+                   _strongly_connected_components, components)
 
 DEFAULT_SUBSET_LIMIT = 1 << 20
 
@@ -252,6 +254,49 @@ def minimal_dfa(a: Automaton,
     subsets, table, accepting = _subset_table(a, max_subsets)
     return _quotient(a.alphabet, _set_names(a.states, subsets), table,
                      accepting, 0, _hopcroft(table, accepting))
+
+
+def bisimulation_quotient(a: Automaton) -> Automaton:
+    """``a`` with each block of its coarsest forward bisimulation merged
+    into its first member, in one pass over ``components``, whose order
+    places a state's targets, but itself, first.  A state joins the block
+    with its signature: acceptance and the (letter, target block) pairs,
+    its self-loops counted as entering that block.  Returns ``a`` itself
+    when a cycle runs through two or more states or nothing merges."""
+    order = components(a)
+    if max(map(len, order)) > 1:
+        return a
+    cell = a.transitions.get
+    letters = range(len(a.alphabet))
+    block_of: dict[str, str] = {}
+    # a block under its signature, and under its first member's with the
+    # self-loops marked None, found so by states entering it by loops alone
+    blocks: dict[tuple, str] = {}
+    for (q,) in order:
+        rows = [cell((q, sym), EMPTY) for sym in a.alphabet]
+        moves = frozenset([(i, block_of[t]) for i in letters
+                           for t in rows[i] if t != q])
+        loops = [i for i in letters if q in rows[i]]
+        if not loops:   # one signature, whatever the block
+            block_of[q] = blocks.setdefault((q in a.accepting, moves), q)
+            continue
+
+        def signature(own: Optional[str]) -> tuple:
+            return (q in a.accepting, moves.union([(i, own) for i in loops]))
+
+        b = next((c for _, c in moves if blocks.get(signature(c)) == c), None)
+        if b is None:
+            b = blocks.setdefault(signature(None), q)
+            if b == q:
+                blocks[signature(q)] = q
+        block_of[q] = b
+    if len(set(block_of.values())) == len(a.states):
+        return a
+    return Automaton(
+        a.alphabet, [q for q in a.states if block_of[q] == q],
+        {block_of[q] for q in a.initial}, {block_of[q] for q in a.accepting},
+        {(q, sym): {block_of[t] for t in targets}
+         for (q, sym), targets in a.transitions.items() if block_of[q] == q})
 
 
 def complement(d: Automaton) -> Automaton:

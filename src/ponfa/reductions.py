@@ -13,19 +13,20 @@ accepts exactly the words that fail to be that one encoding.  The
 detector families cover malformed block structure, a wrong starting
 snapshot, a cell that contradicts the transition table, and runs that
 stop too early or keep going after acceptance.  Every fragment is a
-trie over block words (``_trie``: one state per proper prefix) or a
-chain of states joined on both bits (``_Sketch.chain``).  The trie of
-the starting snapshot accepts its proper prefixes, so words shorter
-than that snapshot need no fragment of their own.
+trie over block words (``_trie``; the transition checks build one per
+tuple of targets and share it) or a chain of states joined on both
+bits (``_Sketch.chain``).  The trie of the starting snapshot accepts its
+proper prefixes, so words shorter than it need no fragment of their own.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .core import (Automaton, AutomatonKind, CapacityError, FormatError,
                    Word, classify)
@@ -465,17 +466,17 @@ class _Sketch:
 
 
 def _trie(sk: _Sketch, label: str, words: Sequence[Word],
-          finish: Callable[[int], Optional[str]], accepting: bool = False,
+          targets: Sequence[Optional[str]], accepting: bool = False,
           off: Optional[str] = None) -> str:
     """One fresh state per proper prefix of the words, joined by the
     bit that extends it; returns the root, the empty prefix.  The last
-    bit of ``words[i]`` goes to ``finish(i)``, or nowhere when that is
+    bit of ``words[i]`` goes to ``targets[i]``, or nowhere when that is
     None.  With ``off``, every bit that leaves all the words goes
     there; without it, such a path simply ends."""
     root = sk.fresh(label, accepting)
     nodes = [root]
     steps: dict[tuple[str, str], Optional[str]] = {}
-    for i, word in enumerate(words):
+    for word, target in zip(words, targets):
         state = root
         for bit in word[:-1]:
             if (state, bit) not in steps:
@@ -483,7 +484,7 @@ def _trie(sk: _Sketch, label: str, words: Sequence[Word],
                 nodes.append(steps[state, bit])
                 sk.edge(state, bit, steps[state, bit])
             state = steps[state, bit]
-        steps[state, word[-1]] = target = finish(i)
+        steps[state, word[-1]] = target
         if target is not None:
             sk.edge(state, word[-1], target)
     if off is not None:
@@ -509,7 +510,7 @@ def _add_malformed_detectors(
     watch = sk.state("watch")
     sk.any_edge(watch, watch)
     sk.initial.append(watch)
-    sk.initial.append(_trie(sk, "lead", [("0", "0")], lambda _: None,
+    sk.initial.append(_trie(sk, "lead", [("0", "0")], [None],
                             off=all_state))
     tail0 = sk.state("tail0", accepting=True)
     sk.edge(watch, "0", tail0)
@@ -524,7 +525,7 @@ def _add_malformed_detectors(
     # every state of the body trie accepts, since a word may not end
     # inside a block, and a body naming no symbol leaves it for all
     sk.edge(mark, "0", _trie(sk, "fmt", [block[2:] for block in blocks],
-                             leaves.__getitem__, accepting=True,
+                             leaves, accepting=True,
                              off=all_state))
     return leaves, all_state, mark
 
@@ -597,23 +598,28 @@ def _add_transition_checks(sk: _Sketch, blocks: Sequence[Word], mark: str,
     """Fragments accepting words where three adjacent blocks are
     followed, one snapshot later, by anything other than the block
     the transition table forces there."""
-    entries: dict[Optional[int], str] = {}
+    symbols = range(len(blocks))
 
+    @functools.cache
     def entry_for(forced: Optional[int]) -> str:
-        if forced not in entries:
-            gap = sk.chain("gap", (space - 1) * len(blocks[0]))
-            target = _trie(sk, "tgt", blocks, lambda value:
-                           None if value == forced else all_state)
-            if gap:
-                sk.any_edge(gap[-1], target)
-            entries[forced] = gap[0] if gap else target
-        return entries[forced]
+        gap = sk.chain("gap", (space - 1) * len(blocks[0]))
+        target = _trie(sk, "tgt", blocks, [
+            None if value == forced else all_state for value in symbols])
+        if gap:
+            sk.any_edge(gap[-1], target)
+        return gap[0] if gap else target
+
+    @functools.cache
+    def chk(targets: tuple[str, ...]) -> str:
+        # equal tries accept the same words from their roots
+        return _trie(sk, "chk", blocks, targets)
 
     # the first block's leading 00 was read by the guess reaching mark
-    root = _trie(sk, "chk", [block[2:] for block in blocks], lambda first:
-                 _trie(sk, "chk", blocks, lambda second:
-                       _trie(sk, "chk", blocks, lambda third:
-                             entry_for(successor[first, second, third]))))
+    root = _trie(sk, "chk", [block[2:] for block in blocks], [
+        chk(tuple(chk(tuple(entry_for(successor[first, second, third])
+                            for third in symbols))
+                  for second in symbols))
+        for first in symbols])
     sk.edge(mark, "0", root)
 
 
@@ -635,7 +641,7 @@ def _add_ending_checks(sk: _Sketch, encoding: _Encoding, machine: Dtm,
                    if symbol != SEPARATOR
                    and symbol[1] not in (None, machine.accepting)]
     end = sk.state("haltend", accepting=True)
-    closing = _trie(sk, "halt", [separator[1:]], lambda _: end)
+    closing = _trie(sk, "halt", [separator[1:]], [end])
     live = sk.chain("live", (space - 1) * block_length)
     for leaf in head_leaves:
         sk.edge(leaf, separator[0], closing)
@@ -659,7 +665,7 @@ def dtm_to_ponfa(machine: Dtm, word: Word) -> Automaton:
     # leaving it goes to all
     sk.initial.append(_trie(
         sk, "init", [_encode_configurations(machine, encoding, [start])],
-        lambda _: None, accepting=True, off=all_state))
+        [None], accepting=True, off=all_state))
     _add_transition_checks(sk, encoding.blocks, mark, all_state,
                            _successor_table(machine, encoding),
                            machine.space_bound)

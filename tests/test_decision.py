@@ -97,8 +97,10 @@ def test_extremal_automaton_witness():
 
 def test_generic_search_fits_in_its_node_budget():
     # the least budget at which the search answers, so a step that
-    # stores one subset more or fewer shows here
-    for k, least in ((3, 53), (4, 302), (5, 1691)):
+    # stores one subset more or fewer shows here; build_a(k, k) has
+    # more than |Q| subsets to store, so these budgets hold for the
+    # search of its bisimulation quotient
+    for k, least in ((3, 41), (4, 156), (5, 582)):
         a = build_a(k, k)
         verdict = is_universal(a, max_nodes=least)
         assert verdict == Decision(False, build_w(k, k))
@@ -106,6 +108,10 @@ def test_generic_search_fits_in_its_node_budget():
             is_universal(a, max_nodes=least - 1)
         assert str(caught.value) == (
             f"universality search exceeded {least - 1} subsets")
+    # a budget of at most |Q| = 15 bounds the search of the input itself
+    with pytest.raises(CapacityError) as caught:
+        is_universal(build_a(3, 3), max_nodes=15)
+    assert str(caught.value) == "universality search exceeded 15 subsets"
 
 
 def test_bounded_search_fits_in_its_node_budget():

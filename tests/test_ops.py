@@ -7,10 +7,11 @@ import pytest
 
 from ponfa.core import (Automaton, CapacityError, accepts, classify,
                         serialize_automaton)
-from ponfa.ops import (INFINITE, co_reachable_states, complement,
-                       count_language_size, determinize, is_empty,
-                       minimal_dfa, minimize, product_intersection,
-                       reachable_states)
+from ponfa.decision import _includes_generic, is_universal
+from ponfa.ops import (DEFAULT_SUBSET_LIMIT, INFINITE, bisimulation_quotient,
+                       co_reachable_states, complement, count_language_size,
+                       determinize, is_empty, minimal_dfa, minimize,
+                       product_intersection, reachable_states)
 
 
 def contains_a1():
@@ -390,3 +391,64 @@ def test_reachability_walks_match_a_naive_fixpoint():
         assert [distance[q] for q in order] == sorted(distance.values())
         assert order[:len(a.initial)] == sorted(a.initial, key=a.state_index)
         assert co_reachable_states(a) == backward
+
+
+def random_ponfa(rng, n_states, alphabet):
+    """States listed in topological order: a cell holds its own source
+    or not, plus up to two later states.  Self-loops may be
+    nondeterministic, and the initial or accepting set is sometimes
+    empty."""
+    states = [f"s{i}" for i in range(n_states)]
+    transitions = {}
+    for i, q in enumerate(states):
+        for symbol in alphabet:
+            later = states[i + 1:]
+            targets = set(rng.sample(later,
+                                     rng.randint(0, min(2, len(later)))))
+            if rng.random() < 0.4:
+                targets.add(q)
+            transitions[(q, symbol)] = targets
+    initial = ([] if rng.random() < 0.1 else
+               rng.sample(states, rng.randint(1, min(2, n_states))))
+    accepting = rng.sample(states, rng.randint(0, n_states))
+    return Automaton(alphabet, states, initial, accepting, transitions)
+
+
+def refined_block_count(a):
+    """Blocks of the coarsest forward bisimulation, by signature
+    refinement repeated until the block count stops growing."""
+    block = {q: q in a.accepting for q in a.states}
+    count = len(set(block.values()))
+    while True:
+        signatures = {q: (block[q], *[frozenset(block[t]
+                                                for t in a.step(q, sym))
+                                      for sym in a.alphabet])
+                      for q in a.states}
+        number = {signature: i for i, signature
+                  in enumerate(dict.fromkeys(signatures.values()))}
+        block = {q: number[signatures[q]] for q in a.states}
+        if len(number) == count:
+            return count
+        count = len(number)
+
+
+def test_bisimulation_quotient_is_the_coarsest_and_keeps_the_language():
+    rng = random.Random(29)
+    for _ in range(3000):
+        a = random_ponfa(rng, rng.randint(1, 10),
+                         ("a", "b", "c")[:rng.randint(1, 3)])
+        quotient = bisimulation_quotient(a)
+        assert len(quotient.states) == refined_block_count(a)
+        assert (quotient is a) == (len(quotient.states) == len(a.states))
+        assert same_language_to(quotient, a, 4)
+        before, after = classify(a), classify(quotient)
+        assert after.is_partially_ordered
+        assert (after.is_self_loop_deterministic
+                or not before.is_self_loop_deterministic)
+        # the input searched as it is, against the search that answers
+        assert (is_universal(quotient)
+                == _includes_generic(None, a, DEFAULT_SUBSET_LIMIT))
+    # a cycle through two states: returned as it is
+    cyclic = Automaton(("a",), ("p", "q"), ["p"], ["p", "q"],
+                       {("p", "a"): ["q"], ("q", "a"): ["p"]})
+    assert bisimulation_quotient(cyclic) is cyclic

@@ -9,7 +9,7 @@ import pytest
 from ponfa import reductions
 from ponfa.core import (Automaton, AutomatonKind, CapacityError, FormatError,
                         accepts, classify)
-from ponfa.decision import Strategy, is_universal
+from ponfa.decision import Strategy, equivalent, is_universal
 from ponfa.reductions import (CnfFormula, Dtm, SimulationStatus, cnf_to_rponfa,
                               dtm_to_ponfa, encode_run, format_checker_ponfa,
                               parse_dimacs, parse_dtm, sat_brute_force,
@@ -387,6 +387,49 @@ def test_format_checker_matches_reference():
                   + bits[position + 1:])
     with pytest.raises(ValueError):
         format_checker_ponfa(1)
+
+
+def unshared_transition_checks(sk, blocks, mark, all_state, successor,
+                               space):
+    """``reductions._add_transition_checks`` with a fresh trie for every
+    second and third block, none shared: the reference build."""
+    entries = {}
+
+    def entry_for(forced):
+        if forced not in entries:
+            gap = sk.chain("gap", (space - 1) * len(blocks[0]))
+            target = reductions._trie(sk, "tgt", blocks, [
+                None if value == forced else all_state
+                for value in range(len(blocks))])
+            if gap:
+                sk.any_edge(gap[-1], target)
+            entries[forced] = gap[0] if gap else target
+        return entries[forced]
+
+    symbols = range(len(blocks))
+    root = reductions._trie(sk, "chk", [block[2:] for block in blocks], [
+        reductions._trie(sk, "chk", blocks, [
+            reductions._trie(sk, "chk", blocks, [
+                entry_for(successor[first, second, third])
+                for third in symbols])
+            for second in symbols])
+        for first in symbols])
+    sk.edge(mark, "0", root)
+
+
+def test_shared_tries_keep_the_language(monkeypatch):
+    shared = {}
+    for machine, states in ((ACCEPT1, 423), (REJECT1, 423), (ACCEPT2, 914),
+                            (ZIGZAG, 1211)):
+        shared[machine] = dtm_to_ponfa(machine, ("1",))
+        assert len(shared[machine].states) == states
+    monkeypatch.setattr(reductions, "_add_transition_checks",
+                        unshared_transition_checks)
+    for machine, states in ((ACCEPT1, 1527), (REJECT1, 1527),
+                            (ACCEPT2, 3488), (ZIGZAG, 5540)):
+        reference = dtm_to_ponfa(machine, ("1",))
+        assert len(reference.states) == states
+        assert equivalent(shared[machine], reference).holds
 
 
 def test_state_budget_raises_capacity_error(monkeypatch):
