@@ -13,10 +13,10 @@ accepts exactly the words that fail to be that one encoding.  The
 detector families cover malformed block structure, a wrong starting
 snapshot, a cell that contradicts the transition table, and runs that
 stop too early or keep going after acceptance.  Every fragment is a
-trie over block words (``_trie``; the transition checks build one per
-tuple of targets and share it) or a chain of states joined on both
-bits (``_Sketch.chain``).  The trie of the starting snapshot accepts its
-proper prefixes, so words shorter than it need no fragment of their own.
+trie over block words, built from its leaves so that equal subtries
+in any fragment are one state (``_trie``), or a chain of states joined
+on both bits.  The trie of the starting snapshot accepts its proper
+prefixes, so words shorter than it need no fragment of their own.
 """
 
 from __future__ import annotations
@@ -133,41 +133,35 @@ def cnf_to_rponfa(formula: CnfFormula) -> Automaton:
 
     Each clause contributes a path that reads precisely the bit
     patterns falsifying it, and a shared chain accepts every word
-    whose length differs from the variable count.
+    whose length differs from the variable count.  The paths are built
+    from their ends, and clauses alike after bit j share the state it
+    reaches, so the automaton is its own bisimulation quotient.
     """
     n = formula.variable_count
-    states = ["start"]
+    chain = [f"len{j}" for j in range(1, n + 2)]
     transitions: dict[tuple[str, str], set[str]] = {}
 
     def add(source: str, symbol: str, target: str) -> None:
         transitions.setdefault((source, symbol), set()).add(target)
 
-    for i in range(1, len(formula.clauses) + 1):
-        states.extend(f"c{i}.{j}" for j in range(1, n + 1))
-    chain = [f"len{j}" for j in range(1, n + 2)]
-    states.extend(chain)
-    for symbol in ("0", "1"):
-        add("start", symbol, chain[0])
-        add(chain[-1], symbol, chain[-1])
-    for j in range(n):
-        for symbol in ("0", "1"):
-            add(chain[j], symbol, chain[j + 1])
+    for source, target in zip(["start", *chain], [*chain, chain[-1]]):
+        add(source, "0", target)
+        add(source, "1", target)
+    after: dict[tuple[int, frozenset[int]], str] = {}
     for i, clause in enumerate(formula.clauses, start=1):
-        previous = "start"
-        for j in range(1, n + 1):
-            if j in clause:
-                falsifying = ("0",)
-            elif -j in clause:
-                falsifying = ("1",)
-            else:
-                falsifying = ("0", "1")
-            for symbol in falsifying:
-                add(previous, symbol, f"c{i}.{j}")
-            previous = f"c{i}.{j}"
-    accepting = {"start", chain[-1]}
-    accepting.update(f"c{i}.{n}" for i in range(1, len(formula.clauses) + 1))
-    accepting.update(chain[j] for j in range(n) if j + 1 != n)
-    result = Automaton(("0", "1"), states, ["start"], accepting, transitions)
+        target = after.setdefault((n, frozenset()), f"c{i}.{n}")
+        for j in range(n - 1, -1, -1):
+            source = after.setdefault(
+                (j, frozenset(x for x in clause if abs(x) > j)),
+                f"c{i}.{j}") if j else "start"
+            # each bit for variable j + 1, with the literal it makes true
+            for symbol, literal in (("0", -j - 1), ("1", j + 1)):
+                if literal not in clause:
+                    add(source, symbol, target)
+            target = source
+    accepting = {"start", after[n, frozenset()], *chain[:-2], chain[-1]}
+    result = Automaton(("0", "1"), ["start", *after.values(), *chain],
+                       ["start"], accepting, transitions)
     assert classify(result).label is AutomatonKind.RPO_NFA
     return result
 
@@ -430,6 +424,7 @@ class _Sketch:
         self.accepting: list[str] = []
         self.transitions: dict[tuple[str, str], set[str]] = {}
         self.counters: dict[str, int] = {}
+        self.nodes: dict[tuple[bool, Optional[str], Optional[str]], str] = {}
 
     def state(self, name: str, accepting: bool = False) -> str:
         if len(self.states) >= DEFAULT_STATE_LIMIT:
@@ -444,6 +439,19 @@ class _Sketch:
         count = self.counters.get(prefix, 0)
         self.counters[prefix] = count + 1
         return self.state(f"{prefix}{count}", accepting)
+
+    def node(self, prefix: str, accepting: bool, zero: Optional[str],
+             one: Optional[str]) -> str:
+        """The one state with this acceptance whose only moves go to
+        ``zero`` on 0 and ``one`` on 1 (None: no move), made on first
+        request; no move is added to it later."""
+        key = (accepting, zero, one)
+        if key not in self.nodes:
+            self.nodes[key] = state = self.fresh(prefix, accepting)
+            for bit, target in (("0", zero), ("1", one)):
+                if target is not None:
+                    self.edge(state, bit, target)
+        return self.nodes[key]
 
     def edge(self, source: str, symbol: str, target: str) -> None:
         self.transitions.setdefault((source, symbol), set()).add(target)
@@ -468,31 +476,25 @@ class _Sketch:
 def _trie(sk: _Sketch, label: str, words: Sequence[Word],
           targets: Sequence[Optional[str]], accepting: bool = False,
           off: Optional[str] = None) -> str:
-    """One fresh state per proper prefix of the words, joined by the
-    bit that extends it; returns the root, the empty prefix.  The last
-    bit of ``words[i]`` goes to ``targets[i]``, or nowhere when that is
-    None.  With ``off``, every bit that leaves all the words goes
+    """The root of a trie over the words, built from its leaves through
+    ``_Sketch.node``, so equal subtries anywhere are one state.  The
+    last bit of ``words[i]`` goes to ``targets[i]``, or nowhere when that
+    is None.  With ``off``, every bit that leaves all the words goes
     there; without it, such a path simply ends."""
-    root = sk.fresh(label, accepting)
-    nodes = [root]
-    steps: dict[tuple[str, str], Optional[str]] = {}
+    # number the proper prefixes top down, each after its parent
+    below: dict[tuple[int, str], int] = {}
+    last: dict[tuple[int, str], Optional[str]] = {}
     for word, target in zip(words, targets):
-        state = root
+        prefix = 0
         for bit in word[:-1]:
-            if (state, bit) not in steps:
-                steps[state, bit] = sk.fresh(label, accepting)
-                nodes.append(steps[state, bit])
-                sk.edge(state, bit, steps[state, bit])
-            state = steps[state, bit]
-        steps[state, word[-1]] = target
-        if target is not None:
-            sk.edge(state, word[-1], target)
-    if off is not None:
-        for state in nodes:
-            for bit in ("0", "1"):
-                if (state, bit) not in steps:
-                    sk.edge(state, bit, off)
-    return root
+            prefix = below.setdefault((prefix, bit), len(below) + 1)
+        last[prefix, word[-1]] = target
+    made = [""] * (len(below) + 1)
+    for prefix in reversed(range(len(made))):
+        made[prefix] = sk.node(label, accepting, *[
+            made[below[prefix, bit]] if (prefix, bit) in below
+            else last.get((prefix, bit), off) for bit in ("0", "1")])
+    return made[0]
 
 
 def _add_malformed_detectors(
@@ -600,19 +602,16 @@ def _add_transition_checks(sk: _Sketch, blocks: Sequence[Word], mark: str,
     the transition table forces there."""
     symbols = range(len(blocks))
 
+    # the register shares equal tries anyway; the caches save time
     @functools.cache
     def entry_for(forced: Optional[int]) -> str:
-        gap = sk.chain("gap", (space - 1) * len(blocks[0]))
-        target = _trie(sk, "tgt", blocks, [
+        entry = _trie(sk, "tgt", blocks, [
             None if value == forced else all_state for value in symbols])
-        if gap:
-            sk.any_edge(gap[-1], target)
-        return gap[0] if gap else target
+        for _ in range((space - 1) * len(blocks[0])):
+            entry = sk.node("gap", False, entry, entry)
+        return entry
 
-    @functools.cache
-    def chk(targets: tuple[str, ...]) -> str:
-        # equal tries accept the same words from their roots
-        return _trie(sk, "chk", blocks, targets)
+    chk = functools.cache(functools.partial(_trie, sk, "chk", blocks))
 
     # the first block's leading 00 was read by the guess reaching mark
     root = _trie(sk, "chk", [block[2:] for block in blocks], [

@@ -10,6 +10,7 @@ from ponfa import reductions
 from ponfa.core import (Automaton, AutomatonKind, CapacityError, FormatError,
                         accepts, classify)
 from ponfa.decision import Strategy, equivalent, is_universal
+from ponfa.ops import bisimulation_quotient
 from ponfa.reductions import (CnfFormula, Dtm, SimulationStatus, cnf_to_rponfa,
                               dtm_to_ponfa, encode_run, format_checker_ponfa,
                               parse_dimacs, parse_dtm, sat_brute_force,
@@ -135,7 +136,7 @@ def test_reduction_language_shape():
             assert accepts(a, bits)
 
 
-def test_random_formulas_universal_iff_unsat():
+def random_formulas():
     rng = random.Random(11)
     for _ in range(120):
         n = rng.randint(1, 4)
@@ -146,7 +147,12 @@ def test_random_formulas_universal_iff_unsat():
             chosen = rng.sample(range(1, n + 1), size)
             clauses.append(frozenset(v if rng.random() < 0.5 else -v
                                      for v in chosen))
-        formula = CnfFormula(n, tuple(clauses))
+        yield CnfFormula(n, tuple(clauses))
+
+
+def test_random_formulas_universal_iff_unsat():
+    for formula in random_formulas():
+        n = formula.variable_count
         a = cnf_to_rponfa(formula)
         verdict = is_universal(a)
         assert verdict.holds == (not sat_brute_force(formula))
@@ -155,6 +161,56 @@ def test_random_formulas_universal_iff_unsat():
         if not verdict.holds:
             assert len(verdict.witness) == n
             assert formula.evaluate(tuple(b == "1" for b in verdict.witness))
+
+
+def unshared_cnf_to_rponfa(formula):
+    """``cnf_to_rponfa`` with a path of fresh states for every clause,
+    none shared: the reference build."""
+    n = formula.variable_count
+    states = ["start"]
+    transitions = {}
+
+    def add(source, symbol, target):
+        transitions.setdefault((source, symbol), set()).add(target)
+
+    for i in range(1, len(formula.clauses) + 1):
+        states.extend(f"c{i}.{j}" for j in range(1, n + 1))
+    chain = [f"len{j}" for j in range(1, n + 2)]
+    states.extend(chain)
+    for symbol in ("0", "1"):
+        add("start", symbol, chain[0])
+        add(chain[-1], symbol, chain[-1])
+    for j in range(n):
+        for symbol in ("0", "1"):
+            add(chain[j], symbol, chain[j + 1])
+    for i, clause in enumerate(formula.clauses, start=1):
+        previous = "start"
+        for j in range(1, n + 1):
+            if j in clause:
+                falsifying = ("0",)
+            elif -j in clause:
+                falsifying = ("1",)
+            else:
+                falsifying = ("0", "1")
+            for symbol in falsifying:
+                add(previous, symbol, f"c{i}.{j}")
+            previous = f"c{i}.{j}"
+    accepting = {"start", chain[-1]}
+    accepting.update(f"c{i}.{n}" for i in range(1, len(formula.clauses) + 1))
+    accepting.update(chain[j] for j in range(n) if j + 1 != n)
+    return Automaton(("0", "1"), states, ["start"], accepting, transitions)
+
+
+def test_shared_clause_paths_keep_the_language():
+    formulas = [*random_formulas(),
+                CnfFormula(3, (frozenset({1, -3}), frozenset())),
+                CnfFormula(3, (frozenset({1, -2}), frozenset({2, 3}),
+                               frozenset({1, -2})))]
+    for formula in formulas:
+        a = cnf_to_rponfa(formula)
+        assert equivalent(a, unshared_cnf_to_rponfa(formula)).holds
+        # no two states accept the same words
+        assert bisimulation_quotient(a) is a
 
 
 def test_sat_brute_force_refuses_large_inputs():
@@ -389,16 +445,33 @@ def test_format_checker_matches_reference():
         format_checker_ponfa(1)
 
 
+def unshared_trie(sk, label, words, targets):
+    """One fresh state per proper prefix of the words, none shared."""
+    root = sk.fresh(label)
+    steps = {}
+    for word, target in zip(words, targets):
+        state = root
+        for bit in word[:-1]:
+            if (state, bit) not in steps:
+                steps[state, bit] = sk.fresh(label)
+                sk.edge(state, bit, steps[state, bit])
+            state = steps[state, bit]
+        if target is not None:
+            sk.edge(state, word[-1], target)
+    return root
+
+
 def unshared_transition_checks(sk, blocks, mark, all_state, successor,
                                space):
     """``reductions._add_transition_checks`` with a fresh trie for every
-    second and third block, none shared: the reference build."""
+    target trie and every second and third block, none shared: the
+    reference build."""
     entries = {}
 
     def entry_for(forced):
         if forced not in entries:
             gap = sk.chain("gap", (space - 1) * len(blocks[0]))
-            target = reductions._trie(sk, "tgt", blocks, [
+            target = unshared_trie(sk, "tgt", blocks, [
                 None if value == forced else all_state
                 for value in range(len(blocks))])
             if gap:
@@ -407,9 +480,9 @@ def unshared_transition_checks(sk, blocks, mark, all_state, successor,
         return entries[forced]
 
     symbols = range(len(blocks))
-    root = reductions._trie(sk, "chk", [block[2:] for block in blocks], [
-        reductions._trie(sk, "chk", blocks, [
-            reductions._trie(sk, "chk", blocks, [
+    root = unshared_trie(sk, "chk", [block[2:] for block in blocks], [
+        unshared_trie(sk, "chk", blocks, [
+            unshared_trie(sk, "chk", blocks, [
                 entry_for(successor[first, second, third])
                 for third in symbols])
             for second in symbols])
@@ -419,10 +492,12 @@ def unshared_transition_checks(sk, blocks, mark, all_state, successor,
 
 def test_shared_tries_keep_the_language(monkeypatch):
     shared = {}
-    for machine, states in ((ACCEPT1, 423), (REJECT1, 423), (ACCEPT2, 914),
-                            (ZIGZAG, 1211)):
+    # states, then states of the bisimulation quotient
+    for machine, states, quotient in ((ACCEPT1, 271, 261), (REJECT1, 271, 261),
+                                      (ACCEPT2, 530, 510), (ZIGZAG, 661, 641)):
         shared[machine] = dtm_to_ponfa(machine, ("1",))
         assert len(shared[machine].states) == states
+        assert len(bisimulation_quotient(shared[machine]).states) == quotient
     monkeypatch.setattr(reductions, "_add_transition_checks",
                         unshared_transition_checks)
     for machine, states in ((ACCEPT1, 1527), (REJECT1, 1527),
@@ -430,6 +505,18 @@ def test_shared_tries_keep_the_language(monkeypatch):
         reference = dtm_to_ponfa(machine, ("1",))
         assert len(reference.states) == states
         assert equivalent(shared[machine], reference).holds
+
+
+def test_register_makes_each_state_once():
+    sk = reductions._Sketch()
+    end = sk.state("end", accepting=True)
+    node = sk.node("n", False, end, None)
+    assert sk.node("m", False, end, None) == node
+    # acceptance and each bit's target tell states apart
+    assert len({node, sk.node("n", True, end, None),
+                sk.node("n", False, None, end),
+                sk.node("n", False, end, end)}) == 4
+    assert sk.states == ["end", "n0", "n1", "n2", "n3"]
 
 
 def test_state_budget_raises_capacity_error(monkeypatch):
