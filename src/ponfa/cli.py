@@ -158,7 +158,8 @@ def _positive_int(text: str) -> int:
 def _add_max_subsets(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--max-subsets", type=_positive_int,
                         default=DEFAULT_SUBSET_LIMIT,
-                        help="cap on explored subset-construction nodes")
+                        help="cap on stored subset-construction nodes, "
+                        "also on the search of a quotient")
 
 
 def _add_decision_flags(parser: argparse.ArgumentParser) -> None:

@@ -12,9 +12,9 @@ both ways.  Three engines decide an inclusion:
                       letter's row, ``state -> targets``, over its
                       members.  The rows are filled on first lookup,
                       not up front, because most searches stop after a
-                      few subsets.  A universality search that stores
-                      |Q| subsets without an answer starts again on
-                      the automaton's ``ops.bisimulation_quotient``.
+                      few subsets.  At subset |Q| + 1 a universality
+                      search builds ``ops.bisimulation_quotient``, and
+                      starts again on it only when it merges states.
 * ``UNARY_PO``        for single-letter partially ordered automata the
                       only information in a word is its length: both
                       automata are run once, a letter per length, until
@@ -41,6 +41,7 @@ class search share one core, ``ops.shortest_word``.
 
 from __future__ import annotations
 
+import itertools
 from enum import Enum
 from typing import Optional
 
@@ -69,20 +70,20 @@ def _sigma_star(alphabet: tuple[str, ...]) -> Automaton:
                      {("all", sym): ["all"] for sym in alphabet})
 
 
+class _Smaller(Exception):
+    """Raised with the quotient of the automaton searched."""
+
+
 def _decide(left: Optional[Automaton], right: Automaton,
             strategy: "Strategy | str", max_nodes: int) -> Decision:
     """Is L(left) ⊆ L(right)?  ``left`` None stands for Σ* over the
     alphabet of ``right``."""
     engine = Strategy(strategy)
-    if (engine is Strategy.GENERIC and left is None
-            and max_nodes > len(right.states)):
-        # the quotient costs about |Q| steps, so |Q| subsets come first
-        try:
-            return _includes_generic(None, right, len(right.states))
-        except CapacityError:
-            right = bisimulation_quotient(right)
     if engine is Strategy.GENERIC:
-        return _includes_generic(left, right, max_nodes)
+        try:
+            return _includes_generic(left, right, max_nodes, left is None)
+        except _Smaller as smaller:
+            return _includes_generic(None, smaller.args[0], max_nodes)
     flags = classify(right)
     if engine is Strategy.UNARY_PO:
         if not (len(right.alphabet) == 1 and flags.is_partially_ordered
@@ -154,10 +155,14 @@ class _Row(dict):
 
 
 def _includes_generic(left: Optional[Automaton], right: Automaton,
-                      max_nodes: int) -> Decision:
+                      max_nodes: int, quotient: bool = False) -> Decision:
     """Breadth-first search for a word accepted by ``left`` (None: Σ*)
     and rejected by ``right``, over subsets of ``right`` or over pairs
     of subsets.
+
+    With ``quotient``, a universality search storing subset |Q| + 1
+    builds ``right``'s quotient, which costs about |Q| steps: it goes on
+    when nothing merges, and raises ``_Smaller`` otherwise.
 
     A subset steps on a letter through that letter's row, one C-level
     union of its members' cells with no loop per state.  The rows belong
@@ -180,7 +185,18 @@ def _includes_generic(left: Optional[Automaton], right: Automaton,
                 for sym, row in rows:
                     yield sym, union(*map(row, subset))
 
-        rejected = right.accepting.isdisjoint
+        plain = right.accepting.isdisjoint
+        calls = itertools.count(-len(right.states))
+
+        def checked(subset) -> bool:
+            # shortest_word tests each stored subset once
+            if not next(calls):
+                smaller = bisimulation_quotient(right)
+                if smaller is not right:
+                    raise _Smaller(smaller)
+            return plain(subset)
+
+        rejected = checked if quotient else plain
         starts = [right.initial]
         message = "universality search exceeded {} subsets"
     else:

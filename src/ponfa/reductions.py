@@ -460,10 +460,9 @@ class _Sketch:
         self.edge(source, "0", target)
         self.edge(source, "1", target)
 
-    def chain(self, prefix: str, length: int,
-              accepting: bool = False) -> list[str]:
+    def chain(self, prefix: str, length: int) -> list[str]:
         """``length`` fresh states, each joined to the next on both bits."""
-        states = [self.fresh(prefix, accepting) for _ in range(length)]
+        states = [self.fresh(prefix) for _ in range(length)]
         for source, target in zip(states, states[1:]):
             self.any_edge(source, target)
         return states
@@ -497,15 +496,15 @@ def _trie(sk: _Sketch, label: str, words: Sequence[Word],
     return made[0]
 
 
-def _add_malformed_detectors(
-        sk: _Sketch, blocks: Sequence[Word]) -> tuple[list[str], str, str]:
+def _add_malformed_detectors(sk: _Sketch, blocks: Sequence[Word],
+                             leaf_moves: Mapping) -> tuple[str, str]:
     """Fragments accepting every word that is not a concatenation of
     the blocks: wrong start, trailing 0, a broken or unassigned block
     body, a block followed by 1 or 01, or ending inside a block.
 
-    Returns the state reached after each complete block (so
-    continuations can hang off them), the all-accepting sink, and the
-    state a guessed block start reaches after its first 0.
+    The state reached after block i also moves as ``leaf_moves[i]``
+    says, so continuations can hang off it.  Returns the all-accepting
+    sink and the state a guessed block start reaches after its first 0.
     """
     all_state = sk.state("all", accepting=True)
     sk.any_edge(all_state, all_state)
@@ -514,22 +513,24 @@ def _add_malformed_detectors(
     sk.initial.append(watch)
     sk.initial.append(_trie(sk, "lead", [("0", "0")], [None],
                             off=all_state))
-    tail0 = sk.state("tail0", accepting=True)
-    sk.edge(watch, "0", tail0)
+    sk.edge(watch, "0", sk.node("tail", True, None, None))
     mark = sk.state("mark")
     sk.edge(watch, "0", mark)
     blockzero = sk.state("blk0", accepting=True)
     sk.edge(blockzero, "1", all_state)
-    leaves = [sk.state(f"sym{i}") for i in range(len(blocks))]
-    for leaf in leaves:
-        sk.edge(leaf, "1", all_state)
-        sk.edge(leaf, "0", blockzero)
+    moves = [(("1", all_state), ("0", blockzero), *leaf_moves.get(i, ()))
+             for i in range(len(blocks))]
+    # one leaf per move set: equal leaves share the states above them
+    leaf = {key: sk.fresh("sym") for key in dict.fromkeys(moves)}
+    for key, state in leaf.items():
+        for bit, target in key:
+            sk.edge(state, bit, target)
     # every state of the body trie accepts, since a word may not end
     # inside a block, and a body naming no symbol leaves it for all
     sk.edge(mark, "0", _trie(sk, "fmt", [block[2:] for block in blocks],
-                             leaves, accepting=True,
+                             [leaf[key] for key in moves], accepting=True,
                              off=all_state))
-    return leaves, all_state, mark
+    return all_state, mark
 
 
 def format_checker_ponfa(symbol_count: int) -> Automaton:
@@ -539,7 +540,7 @@ def format_checker_ponfa(symbol_count: int) -> Automaton:
     if symbol_count < 2:
         raise ValueError("the code table needs at least two symbols")
     sk = _Sketch()
-    _add_malformed_detectors(sk, _blocks(symbol_count))
+    _add_malformed_detectors(sk, _blocks(symbol_count), {})
     result = sk.build()
     assert classify(result).is_partially_ordered
     return result
@@ -622,32 +623,34 @@ def _add_transition_checks(sk: _Sketch, blocks: Sequence[Word], mark: str,
     sk.edge(mark, "0", root)
 
 
-def _add_ending_checks(sk: _Sketch, encoding: _Encoding, machine: Dtm,
-                       leaves: Sequence[str]) -> None:
+def _add_ending_checks(sk: _Sketch, encoding: _Encoding,
+                       machine: Dtm) -> dict[int, list[tuple[str, str]]]:
     """Fragments accepting words that end inside a snapshot and words
-    whose final snapshot still carries a non-accepting head."""
+    whose final snapshot still carries a non-accepting head.  Returns
+    the moves they need from the state reached after each block."""
     block_length = len(encoding.blocks[0])
     space = machine.space_bound
     separator = encoding.blocks[encoding.index[SEPARATOR]]
     # ending 1..space blocks after a separator means the final
     # snapshot is incomplete; ending inside a block is malformed
     # anyway, so every state of the chain may accept
-    cut = sk.chain("cut", space * block_length, accepting=True)
-    sk.any_edge(leaves[encoding.index[SEPARATOR]], cut[0])
+    cut = end = sk.node("end", True, None, None)
+    for _ in range(space * block_length - 1):
+        cut = sk.node("cut", True, cut, cut)
+    leaf_moves = {encoding.index[SEPARATOR]: [("0", cut), ("1", cut)]}
     # a non-accepting head whose snapshot closes at the end of the
     # word means the run stopped without accepting
-    head_leaves = [leaves[i] for i, symbol in enumerate(encoding.symbols)
-                   if symbol != SEPARATOR
-                   and symbol[1] not in (None, machine.accepting)]
-    end = sk.state("haltend", accepting=True)
     closing = _trie(sk, "halt", [separator[1:]], [end])
     live = sk.chain("live", (space - 1) * block_length)
-    for leaf in head_leaves:
-        sk.edge(leaf, separator[0], closing)
-        if live:
-            sk.any_edge(leaf, live[0])
     for state in live[block_length - 1::block_length]:
         sk.edge(state, separator[0], closing)
+    head_moves = [(separator[0], closing)]
+    if live:
+        head_moves += [("0", live[0]), ("1", live[0])]
+    for i, symbol in enumerate(encoding.symbols):
+        if symbol != SEPARATOR and symbol[1] not in (None, machine.accepting):
+            leaf_moves[i] = head_moves
+    return leaf_moves
 
 
 def dtm_to_ponfa(machine: Dtm, word: Word) -> Automaton:
@@ -659,7 +662,8 @@ def dtm_to_ponfa(machine: Dtm, word: Word) -> Automaton:
     start = _starting_configuration(machine, word)
     encoding = _Encoding(machine)
     sk = _Sketch()
-    leaves, all_state, mark = _add_malformed_detectors(sk, encoding.blocks)
+    all_state, mark = _add_malformed_detectors(
+        sk, encoding.blocks, _add_ending_checks(sk, encoding, machine))
     # the proper prefixes of the starting snapshot accept, and a word
     # leaving it goes to all
     sk.initial.append(_trie(
@@ -668,7 +672,6 @@ def dtm_to_ponfa(machine: Dtm, word: Word) -> Automaton:
     _add_transition_checks(sk, encoding.blocks, mark, all_state,
                            _successor_table(machine, encoding),
                            machine.space_bound)
-    _add_ending_checks(sk, encoding, machine, leaves)
     result = sk.build()
     assert classify(result).label is AutomatonKind.PO_NFA
     return result

@@ -8,10 +8,14 @@ import time
 
 import pytest
 
+from ponfa import decision
 from ponfa.core import Automaton, CapacityError, Decision, accepts, classify
-from ponfa.decision import Strategy, equivalent, includes, is_universal
+from ponfa.decision import (Strategy, _includes_generic, equivalent, includes,
+                            is_universal)
 from ponfa.extremal import build_a, build_w
-from ponfa.ops import shortest_word
+from ponfa.ops import bisimulation_quotient, shortest_word
+from ponfa.reductions import (CnfFormula, Dtm, cnf_to_rponfa, dtm_to_ponfa,
+                              sat_brute_force)
 
 
 def all_words(alphabet, max_len):
@@ -427,3 +431,125 @@ def test_generic_matches_a_plain_subset_search():
             assert is_universal(left) == reference_includes(None, left)
             assert includes(left, right) == reference_includes(left, right)
         assert equivalent(a, b) == reference_equivalent(a, b)
+
+
+def unsatisfiable_cnf():
+    """An unsatisfiable 3CNF formula over 10 variables, whose automaton
+    is its own quotient and stores more than |Q| subsets."""
+    rng = random.Random(33)
+    return CnfFormula(10, tuple(
+        frozenset(v * rng.choice((1, -1)) for v in rng.sample(range(1, 11), 3))
+        for _ in range(48)))
+
+
+def test_universality_searches_once(monkeypatch):
+    formula = unsatisfiable_cnf()
+    assert not sat_brute_force(formula)
+    cnf = cnf_to_rponfa(formula)
+    with pytest.raises(CapacityError):
+        _includes_generic(None, cnf, len(cnf.states))
+    early = cnf_to_rponfa(CnfFormula(2, (frozenset({1, 2}),
+                                         frozenset({-1, 2}))))
+    # answered within |Q| subsets
+    assert not _includes_generic(None, early, len(early.states)).holds
+    calls = []
+
+    def counting(name):
+        original = getattr(decision, name)
+
+        def counted(*args):
+            calls.append(name)
+            return original(*args)
+        return counted
+
+    for name in ("shortest_word", "bisimulation_quotient"):
+        monkeypatch.setattr(decision, name, counting(name))
+    # the search goes on when the quotient merges nothing, and starts
+    # again on the quotient only when it does
+    for a, holds, searches, quotients in ((cnf, True, 1, 1),
+                                          (build_a(4, 4), False, 2, 1),
+                                          (early, False, 1, 0)):
+        calls.clear()
+        assert is_universal(a).holds == holds
+        assert calls.count("shortest_word") == searches
+        assert calls.count("bisimulation_quotient") == quotients
+
+
+def two_phase_universal(a, max_nodes):
+    """GENERIC universality as two searches: one under |Q| subsets,
+    then, when that runs out, one of the quotient under ``max_nodes``."""
+    if max_nodes > len(a.states):
+        try:
+            return _includes_generic(None, a, len(a.states))
+        except CapacityError:
+            a = bisimulation_quotient(a)
+    return _includes_generic(None, a, max_nodes)
+
+
+def outcome(search, a, max_nodes):
+    try:
+        return search(a, max_nodes=max_nodes)
+    except CapacityError as error:
+        return str(error)
+
+
+def random_ponfa(rng, n_states, alphabet):
+    """States in topological order: a cell holds its own source or not,
+    plus up to two later states."""
+    states = [f"s{i}" for i in range(n_states)]
+    transitions = {}
+    for i, q in enumerate(states):
+        for symbol in alphabet:
+            later = states[i + 1:]
+            targets = set(rng.sample(later,
+                                     rng.randint(0, min(2, len(later)))))
+            if rng.random() < 0.4:
+                targets.add(q)
+            transitions[(q, symbol)] = targets
+    initial = rng.sample(states, rng.randint(0, min(2, n_states)))
+    accepting = rng.sample(states, rng.randint(0, n_states))
+    return Automaton(alphabet, states, initial, accepting, transitions)
+
+
+def machine(space, transitions):
+    """A machine over the tape symbols 1 and _ that accepts in ``yes``."""
+    states = sorted({state for state, _ in transitions} | {"yes"})
+    return Dtm(states, ("1", "_"), ("1",), "_", "go", "yes", transitions,
+               space)
+
+
+def test_one_search_matches_two_at_every_budget():
+    rng = random.Random(61)
+    automata = [random_ponfa(rng, rng.randint(1, 10),
+                             ("a", "b", "c")[:rng.randint(1, 3)])
+                for _ in range(200)]
+    automata += [build_a(k, n) for k in range(1, 5) for n in range(1, 5)]
+    automata += [cnf_to_rponfa(formula) for formula in (
+        CnfFormula(2, (frozenset({1, 2}), frozenset({-1, 2}))),
+        CnfFormula(3, (frozenset({1}), frozenset({-1, 2}),
+                       frozenset({-2, 3}), frozenset({-3}))),
+        unsatisfiable_cnf())]
+    stay, step = ("go", "_", "S"), ("right", "1", "R")
+    automata += [dtm_to_ponfa(machine(space, table), ("1",))
+                 for space, table in (
+                     (1, {("go", "1"): ("yes", "1", "S"), ("go", "_"): stay}),
+                     (1, {("go", "1"): ("go", "1", "S"), ("go", "_"): stay}),
+                     (2, {("go", "1"): step, ("go", "_"): stay,
+                          ("right", "1"): ("yes", "1", "S"),
+                          ("right", "_"): ("right", "_", "S")}))]
+    # the quotient merges the twins r and r2 and answers within |Q| + 1
+    # subsets, where the input needs more; z pads |Q| to 6
+    automata.append(Automaton(
+        ("a", "b"), ("p", "q", "r", "r2", "x", "z"), ["p", "r"],
+        ["r", "r2", "x"],
+        {("p", "a"): ["q"], ("p", "b"): ["q"], ("q", "a"): ["x"],
+         ("q", "b"): ["r2"], ("r", "a"): ["r"], ("r", "b"): ["x"],
+         ("r2", "a"): ["r"], ("r2", "b"): ["x"]}))
+    for a in automata:
+        # every budget up to one above the least that answers
+        max_nodes = answered = 0
+        while answered < 2:
+            max_nodes += 1
+            verdict = outcome(is_universal, a, max_nodes)
+            assert verdict == outcome(two_phase_universal, a, max_nodes)
+            answered += isinstance(verdict, Decision)
