@@ -13,10 +13,14 @@ accepts exactly the words that fail to be that one encoding.  The
 detector families cover malformed block structure, a wrong starting
 snapshot, a cell that contradicts the transition table, and runs that
 stop too early or keep going after acceptance.  Every fragment is a
-trie over block words, built from its leaves so that equal subtries
-in any fragment are one state (``_trie``), or a chain of states joined
-on both bits.  The trie of the starting snapshot accepts its proper
-prefixes, so words shorter than it need no fragment of their own.
+trie over block words (``_trie``) or a chain of states joined on both
+bits.  The trie of the starting snapshot accepts its proper prefixes,
+so words shorter than it need no fragment of their own.
+
+Both reductions build through one register over the sketch's alphabet
+(``_Sketch.node``; Daciuk, Mihov, Watson and Watson, 2000), so each
+output is its own bisimulation quotient; both raise CapacityError past
+``DEFAULT_STATE_LIMIT`` states.
 """
 
 from __future__ import annotations
@@ -132,36 +136,32 @@ def cnf_to_rponfa(formula: CnfFormula) -> Automaton:
     unsatisfiable.
 
     Each clause contributes a path that reads precisely the bit
-    patterns falsifying it, and a shared chain accepts every word
-    whose length differs from the variable count.  The paths are built
-    from their ends, and clauses alike after bit j share the state it
-    reaches, so the automaton is its own bisimulation quotient.
+    patterns falsifying it, and a chain accepts every word whose
+    length differs from the variable count.  Both are built from
+    their ends through ``dtm_to_ponfa``'s register, ``_Sketch.node``,
+    so clauses alike after bit j share the state it reaches and the
+    automaton is its own bisimulation quotient.  Builds at most
+    ``DEFAULT_STATE_LIMIT`` states, and raises CapacityError past that.
     """
     n = formula.variable_count
-    chain = [f"len{j}" for j in range(1, n + 2)]
-    transitions: dict[tuple[str, str], set[str]] = {}
-
-    def add(source: str, symbol: str, target: str) -> None:
-        transitions.setdefault((source, symbol), set()).add(target)
-
-    for source, target in zip(["start", *chain], [*chain, chain[-1]]):
-        add(source, "0", target)
-        add(source, "1", target)
-    after: dict[tuple[int, frozenset[int]], str] = {}
-    for i, clause in enumerate(formula.clauses, start=1):
-        target = after.setdefault((n, frozenset()), f"c{i}.{n}")
-        for j in range(n - 1, -1, -1):
-            source = after.setdefault(
-                (j, frozenset(x for x in clause if abs(x) > j)),
-                f"c{i}.{j}") if j else "start"
-            # each bit for variable j + 1, with the literal it makes true
-            for symbol, literal in (("0", -j - 1), ("1", j + 1)):
-                if literal not in clause:
-                    add(source, symbol, target)
-            target = source
-    accepting = {"start", after[n, frozenset()], *chain[:-2], chain[-1]}
-    result = Automaton(("0", "1"), ["start", *after.values(), *chain],
-                       ["start"], accepting, transitions)
+    sk = _Sketch(("0", "1"))
+    chain = sk.state("longer", accepting=True)
+    sk.any_edge(chain, chain)
+    for j in range(n, 0, -1):
+        # the state after j bits accepts unless j is the variable count
+        chain = sk.node("len", j != n, sk.every(chain))
+    starts = sk.every(chain)
+    for clause in formula.clauses:
+        path = sk.node("c", True, ())
+        for j in range(n, 0, -1):
+            # each bit for variable j, with the literal it makes true
+            moves = [(bit, path) for bit, literal in (("0", -j), ("1", j))
+                     if literal not in clause]
+            if j > 1:
+                path = sk.node("c", False, moves)
+        starts += moves     # the bits for variable 1 leave the start
+    sk.initial.append(sk.node("start", True, starts))
+    result = sk.build()
     assert classify(result).label is AutomatonKind.RPO_NFA
     return result
 
@@ -415,16 +415,18 @@ def encode_run(machine: Dtm, word: Word) -> Optional[Word]:
 
 
 class _Sketch:
-    """Mutable scratchpad for assembling a reduction automaton of at
-    most ``DEFAULT_STATE_LIMIT`` states."""
+    """Mutable scratchpad for a reduction automaton over ``alphabet``:
+    ``node`` is the one register both reductions build through, and a
+    state past ``DEFAULT_STATE_LIMIT`` raises CapacityError."""
 
-    def __init__(self):
+    def __init__(self, alphabet: Sequence[str]):
+        self.alphabet = tuple(alphabet)
         self.states: list[str] = []
         self.initial: list[str] = []
         self.accepting: list[str] = []
         self.transitions: dict[tuple[str, str], set[str]] = {}
         self.counters: dict[str, int] = {}
-        self.nodes: dict[tuple[bool, Optional[str], Optional[str]], str] = {}
+        self.nodes: dict[tuple[bool, tuple[tuple[str, str], ...]], str] = {}
 
     def state(self, name: str, accepting: bool = False) -> str:
         if len(self.states) >= DEFAULT_STATE_LIMIT:
@@ -440,35 +442,33 @@ class _Sketch:
         self.counters[prefix] = count + 1
         return self.state(f"{prefix}{count}", accepting)
 
-    def node(self, prefix: str, accepting: bool, zero: Optional[str],
-             one: Optional[str]) -> str:
-        """The one state with this acceptance whose only moves go to
-        ``zero`` on 0 and ``one`` on 1 (None: no move), made on first
-        request; no move is added to it later."""
-        key = (accepting, zero, one)
-        if key not in self.nodes:
+    def node(self, prefix: str, accepting: bool,
+             moves: Iterable[tuple[str, str]]) -> str:
+        """The one state with this acceptance whose only moves are the
+        ``(symbol, target)`` pairs of ``moves``, in this order, made on
+        first request; no move is added to it later.  Callers list
+        moves in a fixed order, such as the alphabet's."""
+        key = (accepting, tuple(moves))
+        state = self.nodes.get(key)
+        if state is None:
             self.nodes[key] = state = self.fresh(prefix, accepting)
-            for bit, target in (("0", zero), ("1", one)):
-                if target is not None:
-                    self.edge(state, bit, target)
-        return self.nodes[key]
+            for symbol, target in key[1]:
+                self.edge(state, symbol, target)
+        return state
 
     def edge(self, source: str, symbol: str, target: str) -> None:
         self.transitions.setdefault((source, symbol), set()).add(target)
 
-    def any_edge(self, source: str, target: str) -> None:
-        self.edge(source, "0", target)
-        self.edge(source, "1", target)
+    def every(self, target: str) -> list[tuple[str, str]]:
+        """Moves to ``target`` on every letter."""
+        return [(symbol, target) for symbol in self.alphabet]
 
-    def chain(self, prefix: str, length: int) -> list[str]:
-        """``length`` fresh states, each joined to the next on both bits."""
-        states = [self.fresh(prefix) for _ in range(length)]
-        for source, target in zip(states, states[1:]):
-            self.any_edge(source, target)
-        return states
+    def any_edge(self, source: str, target: str) -> None:
+        for symbol in self.alphabet:
+            self.edge(source, symbol, target)
 
     def build(self) -> Automaton:
-        return Automaton(("0", "1"), self.states, self.initial,
+        return Automaton(self.alphabet, self.states, self.initial,
                          self.accepting, self.transitions)
 
 
@@ -476,24 +476,26 @@ def _trie(sk: _Sketch, label: str, words: Sequence[Word],
           targets: Sequence[Optional[str]], accepting: bool = False,
           off: Optional[str] = None) -> str:
     """The root of a trie over the words, built from its leaves through
-    ``_Sketch.node``, so equal subtries anywhere are one state.  The
-    last bit of ``words[i]`` goes to ``targets[i]``, or nowhere when that
-    is None.  With ``off``, every bit that leaves all the words goes
-    there; without it, such a path simply ends."""
-    # number the proper prefixes top down, each after its parent
+    the register ``_Sketch.node`` over the sketch's alphabet, so equal
+    subtries anywhere are one state.  The last letter of ``words[i]``
+    goes to ``targets[i]``, or nowhere when that is None.  With ``off``,
+    every letter that leaves all the words goes there; without it, such
+    a path simply ends."""
+    # number the proper prefixes top down, each after its parent, and
+    # note where each step from a prefix goes
     below: dict[tuple[int, str], int] = {}
-    last: dict[tuple[int, str], Optional[str]] = {}
+    goes: dict[Optional[tuple[int, str]], Optional[str]] = {}
     for word, target in zip(words, targets):
         prefix = 0
-        for bit in word[:-1]:
-            prefix = below.setdefault((prefix, bit), len(below) + 1)
-        last[prefix, word[-1]] = target
-    made = [""] * (len(below) + 1)
-    for prefix in reversed(range(len(made))):
-        made[prefix] = sk.node(label, accepting, *[
-            made[below[prefix, bit]] if (prefix, bit) in below
-            else last.get((prefix, bit), off) for bit in ("0", "1")])
-    return made[0]
+        for symbol in word[:-1]:
+            prefix = below.setdefault((prefix, symbol), len(below) + 1)
+        goes[prefix, word[-1]] = target
+    # make the prefixes bottom up, each before the step that reaches it
+    for step, prefix in reversed([(None, 0), *below.items()]):
+        goes[step] = sk.node(label, accepting, [
+            (symbol, target) for symbol in sk.alphabet
+            if (target := goes.get((prefix, symbol), off)) is not None])
+    return goes[None]
 
 
 def _add_malformed_detectors(sk: _Sketch, blocks: Sequence[Word],
@@ -513,23 +515,19 @@ def _add_malformed_detectors(sk: _Sketch, blocks: Sequence[Word],
     sk.initial.append(watch)
     sk.initial.append(_trie(sk, "lead", [("0", "0")], [None],
                             off=all_state))
-    sk.edge(watch, "0", sk.node("tail", True, None, None))
+    sk.edge(watch, "0", sk.node("tail", True, ()))
     mark = sk.state("mark")
     sk.edge(watch, "0", mark)
     blockzero = sk.state("blk0", accepting=True)
     sk.edge(blockzero, "1", all_state)
-    moves = [(("1", all_state), ("0", blockzero), *leaf_moves.get(i, ()))
-             for i in range(len(blocks))]
     # one leaf per move set: equal leaves share the states above them
-    leaf = {key: sk.fresh("sym") for key in dict.fromkeys(moves)}
-    for key, state in leaf.items():
-        for bit, target in key:
-            sk.edge(state, bit, target)
+    leaves = [sk.node("sym", False, (("1", all_state), ("0", blockzero),
+                                     *leaf_moves.get(i, ())))
+              for i in range(len(blocks))]
     # every state of the body trie accepts, since a word may not end
     # inside a block, and a body naming no symbol leaves it for all
     sk.edge(mark, "0", _trie(sk, "fmt", [block[2:] for block in blocks],
-                             [leaf[key] for key in moves], accepting=True,
-                             off=all_state))
+                             leaves, accepting=True, off=all_state))
     return all_state, mark
 
 
@@ -539,7 +537,7 @@ def format_checker_ponfa(symbol_count: int) -> Automaton:
     the given size.  Exposed as a validation oracle."""
     if symbol_count < 2:
         raise ValueError("the code table needs at least two symbols")
-    sk = _Sketch()
+    sk = _Sketch(("0", "1"))
     _add_malformed_detectors(sk, _blocks(symbol_count), {})
     result = sk.build()
     assert classify(result).is_partially_ordered
@@ -573,11 +571,9 @@ def _successor_table(machine: Dtm,
             target, written, move = machine.transitions[(state, tape_symbol)]
             if move == "S":
                 table[key] = encoding.index[(written, target)]
-            elif move == "L":
-                table[key] = None if left == SEPARATOR \
-                    else encoding.index[(written, None)]
             else:
-                table[key] = None if right == SEPARATOR \
+                beside = left if move == "L" else right
+                table[key] = None if beside == SEPARATOR \
                     else encoding.index[(written, None)]
             continue
         arriving = None
@@ -609,7 +605,7 @@ def _add_transition_checks(sk: _Sketch, blocks: Sequence[Word], mark: str,
         entry = _trie(sk, "tgt", blocks, [
             None if value == forced else all_state for value in symbols])
         for _ in range((space - 1) * len(blocks[0])):
-            entry = sk.node("gap", False, entry, entry)
+            entry = sk.node("gap", False, sk.every(entry))
         return entry
 
     chk = functools.cache(functools.partial(_trie, sk, "chk", blocks))
@@ -634,19 +630,21 @@ def _add_ending_checks(sk: _Sketch, encoding: _Encoding,
     # ending 1..space blocks after a separator means the final
     # snapshot is incomplete; ending inside a block is malformed
     # anyway, so every state of the chain may accept
-    cut = end = sk.node("end", True, None, None)
+    cut = end = sk.node("end", True, ())
     for _ in range(space * block_length - 1):
-        cut = sk.node("cut", True, cut, cut)
-    leaf_moves = {encoding.index[SEPARATOR]: [("0", cut), ("1", cut)]}
+        cut = sk.node("cut", True, sk.every(cut))
+    leaf_moves = {encoding.index[SEPARATOR]: sk.every(cut)}
     # a non-accepting head whose snapshot closes at the end of the
     # word means the run stopped without accepting
     closing = _trie(sk, "halt", [separator[1:]], [end])
-    live = sk.chain("live", (space - 1) * block_length)
+    live = [sk.fresh("live") for _ in range((space - 1) * block_length)]
+    for source, target in zip(live, live[1:]):
+        sk.any_edge(source, target)
     for state in live[block_length - 1::block_length]:
         sk.edge(state, separator[0], closing)
     head_moves = [(separator[0], closing)]
     if live:
-        head_moves += [("0", live[0]), ("1", live[0])]
+        head_moves += sk.every(live[0])
     for i, symbol in enumerate(encoding.symbols):
         if symbol != SEPARATOR and symbol[1] not in (None, machine.accepting):
             leaf_moves[i] = head_moves
@@ -661,7 +659,7 @@ def dtm_to_ponfa(machine: Dtm, word: Word) -> Automaton:
     states, and raises CapacityError past that."""
     start = _starting_configuration(machine, word)
     encoding = _Encoding(machine)
-    sk = _Sketch()
+    sk = _Sketch(("0", "1"))
     all_state, mark = _add_malformed_detectors(
         sk, encoding.blocks, _add_ending_checks(sk, encoding, machine))
     # the proper prefixes of the starting snapshot accept, and a word

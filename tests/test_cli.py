@@ -213,10 +213,15 @@ def test_reduce_tm(machine_path, capsys):
     assert code == 1 and "alphabet" in err
 
 
-def test_reduce_tm_past_the_state_budget_exits_two(machine_path, capsys,
+@pytest.mark.parametrize("command", ["reduce-tm", "reduce-cnf"])
+def test_reduce_tm_past_the_state_budget_exits_two(command, machine_path,
+                                                   tmp_path, capsys,
                                                    monkeypatch):
+    formula = tmp_path / "f.cnf"
+    formula.write_text("p cnf 60 2\n1 0\n-1 0\n")
+    argv = {"reduce-tm": [machine_path, "1"], "reduce-cnf": [str(formula)]}
     monkeypatch.setattr(ponfa.reductions, "DEFAULT_STATE_LIMIT", 100)
-    code, out, err = run(capsys, "reduce-tm", machine_path, "1")
+    code, out, err = run(capsys, command, *argv[command])
     assert (code, out) == (2, "")
     assert err == "error: construction exceeded 100 states\n"
 

@@ -9,7 +9,8 @@ import time
 import pytest
 
 from ponfa import decision
-from ponfa.core import Automaton, CapacityError, Decision, accepts, classify
+from ponfa.core import (Automaton, AutomatonKind, CapacityError, Decision,
+                        accepts, classify)
 from ponfa.decision import (Strategy, _includes_generic, equivalent, includes,
                             is_universal)
 from ponfa.extremal import build_a, build_w
@@ -184,8 +185,13 @@ def test_explicit_engine_requirements():
         is_universal(binary, strategy=Strategy.UNARY_PO)
     cyclic = Automaton(("a",), ("p", "q"), ["p"], ["q"],
                        {("p", "a"): ["q"], ("q", "a"): ["p"]})
-    with pytest.raises(ValueError):
-        is_universal(cyclic, strategy=Strategy.RPONFA_BOUNDED)
+    # partially ordered, but p's self-loop on a also leaves for q
+    branching = Automaton(("a",), ("p", "q"), ["p"], ["p", "q"],
+                          {("p", "a"): ["p", "q"], ("q", "a"): ["q"]})
+    assert classify(branching).label is AutomatonKind.PO_NFA
+    for a in (cyclic, branching):
+        with pytest.raises(ValueError):
+            is_universal(a, strategy=Strategy.RPONFA_BOUNDED)
 
 
 def test_long_chain_is_decided_without_warnings(caplog):

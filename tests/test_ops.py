@@ -241,6 +241,12 @@ def test_is_empty_finds_least_shortest_witness():
     assert not verdict.holds
     assert verdict.witness == ("a", "a")
 
+    # p and q both start on the empty word, so their moves are read
+    # together, a before b
+    shared = Automaton(("a", "b"), ("p", "q", "f"), ["p", "q"], ["f"],
+                       {("p", "b"): ["f"], ("q", "a"): ["f"]})
+    assert is_empty(shared).witness == ("a",)
+
     hopeless = Automaton(("a",), ("p", "q"), ["p"], ["q"], {})
     verdict = is_empty(hopeless)
     assert verdict.holds and verdict.witness is None

@@ -470,7 +470,10 @@ def unshared_transition_checks(sk, blocks, mark, all_state, successor,
 
     def entry_for(forced):
         if forced not in entries:
-            gap = sk.chain("gap", (space - 1) * len(blocks[0]))
+            length = (space - 1) * len(blocks[0])
+            gap = [sk.fresh("gap") for _ in range(length)]
+            for source, target in zip(gap, gap[1:]):
+                sk.any_edge(source, target)
             target = unshared_trie(sk, "tgt", blocks, [
                 None if value == forced else all_state
                 for value in range(len(blocks))])
@@ -508,22 +511,34 @@ def test_shared_tries_keep_the_language(monkeypatch):
 
 
 def test_register_makes_each_state_once():
-    sk = reductions._Sketch()
+    sk = reductions._Sketch(("0", "1", "2"))
     end = sk.state("end", accepting=True)
-    node = sk.node("n", False, end, None)
-    assert sk.node("m", False, end, None) == node
-    # acceptance and each bit's target tell states apart
-    assert len({node, sk.node("n", True, end, None),
-                sk.node("n", False, None, end),
-                sk.node("n", False, end, end)}) == 4
-    assert sk.states == ["end", "n0", "n1", "n2", "n3"]
+    other = sk.state("other")
+    node = sk.node("n", False, [("0", end)])
+    assert sk.node("m", False, [("0", end)]) == node
+    # acceptance, each letter and each letter's targets tell states apart
+    assert len({node, sk.node("n", True, [("0", end)]),
+                sk.node("n", False, [("1", end)]),
+                sk.node("n", False, [("0", end), ("1", end)]),
+                sk.node("n", False, [("2", end)]),
+                sk.node("n", False, [("0", end), ("0", other)])}) == 6
+    assert sk.states == ["end", "other", "n0", "n1", "n2", "n3", "n4", "n5"]
+    a = sk.build()
+    assert a.alphabet == ("0", "1", "2")
+    assert a.transitions["n4", "2"] == {end}
+    assert a.transitions["n5", "0"] == {end, other}
 
 
-def test_state_budget_raises_capacity_error(monkeypatch):
+@pytest.mark.parametrize("build", [
+    lambda: dtm_to_ponfa(ACCEPT1, ("1",)),
+    # the length chain alone has 61 states, the clause paths 61 more
+    lambda: cnf_to_rponfa(CnfFormula(60, (frozenset({1}), frozenset({-1})))),
+], ids=["dtm", "cnf"])
+def test_state_budget_raises_capacity_error(monkeypatch, build):
     monkeypatch.setattr(reductions, "DEFAULT_STATE_LIMIT", 100)
     with pytest.raises(CapacityError,
                        match="^construction exceeded 100 states$"):
-        dtm_to_ponfa(ACCEPT1, ("1",))
+        build()
 
 
 def test_parse_dtm_round_trip():
