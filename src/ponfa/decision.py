@@ -2,7 +2,7 @@
 
 Every question is an inclusion L(left) ⊆ L(right): universality of an
 automaton is the inclusion of Σ* in it, and equivalence is inclusion
-both ways.  Three engines decide an inclusion:
+both ways.  Two engines decide an inclusion:
 
 * ``GENERIC``         on-the-fly subset construction with breadth-first
                       search for a word accepted on the left and
@@ -15,11 +15,6 @@ both ways.  Three engines decide an inclusion:
                       few subsets.  At subset |Q| + 1 a universality
                       search builds ``ops.bisimulation_quotient``, and
                       starts again on it only when it merges states.
-* ``UNARY_PO``        for single-letter partially ordered automata the
-                      only information in a word is its length: both
-                      automata are run once, a letter per length, until
-                      the pair of subsets repeats, after which no new
-                      length can separate them.
 * ``RPONFA_BOUNDED``  for a self-loop-deterministic partially ordered
                       right side the language is a union of
                       prefix-k-equivalence classes for k equal to the
@@ -30,13 +25,17 @@ both ways.  Three engines decide an inclusion:
                       representative.
 
 ``GENERIC`` is the default engine.  On every input measured it was
-faster than the other two, also on the unary automata and the wide,
-shallow rpoNFAs they are built for.  ``UNARY_PO`` and
-``RPONFA_BOUNDED`` are the paper's procedures; they run only when asked
-for, after their preconditions are checked.  Every engine returns the same witness: the
-length-lex-least word accepted on the left and rejected on the right,
-ties broken by alphabet order.  The searches of ``GENERIC`` and of the
-class search share one core, ``ops.shortest_word``.
+faster than the bounded engine, also on the wide, shallow rpoNFAs that
+engine is built for.  On a one-letter partially ordered automaton
+``GENERIC`` is the paper's polynomial walk: a word is only its length,
+the subsets stop changing within |Q| letters, and the search stores at
+most |Q| + 1 subsets (for an inclusion, pairs of subsets, with |Q| the
+larger state count).
+``RPONFA_BOUNDED`` is the paper's procedure; it runs only when asked
+for, after its precondition is checked.  Both engines return the same
+witness: the length-lex-least word accepted on the left and rejected on
+the right, ties broken by alphabet order.  The searches of ``GENERIC``
+and of the class search share one core, ``ops.shortest_word``.
 """
 
 from __future__ import annotations
@@ -53,7 +52,6 @@ from .subseq import class_search
 
 class Strategy(Enum):
     GENERIC = "generic"
-    UNARY_PO = "unary"
     RPONFA_BOUNDED = "bounded"
 
 
@@ -85,13 +83,6 @@ def _decide(left: Optional[Automaton], right: Automaton,
         except _Smaller as smaller:
             return _includes_generic(None, smaller.args[0], max_nodes)
     flags = classify(right)
-    if engine is Strategy.UNARY_PO:
-        if not (len(right.alphabet) == 1 and flags.is_partially_ordered
-                and (left is None or classify(left).is_partially_ordered)):
-            raise ValueError("the unary engine requires unary partially "
-                             "ordered automata")
-        return _includes_unary(
-            _sigma_star(right.alphabet) if left is None else left, right)
     if not (flags.is_partially_ordered and flags.is_self_loop_deterministic):
         raise ValueError("the bounded engine requires the right-hand "
                          "automaton to be partially ordered with "
@@ -116,7 +107,7 @@ def is_universal(a: Automaton, strategy: "Strategy | str" = Strategy.GENERIC,
 
     Decided as the inclusion of Σ* in ``a``.  The witness of a negative
     answer is the length-lex-least rejected word, ties broken by
-    alphabet order, under every engine.
+    alphabet order, under both engines.
     """
     return _decide(None, a, strategy, max_nodes)
 
@@ -127,10 +118,12 @@ def includes(a: Automaton, b: Automaton,
     """Language inclusion: is every word of ``a`` accepted by ``b``?
 
     A negative witness is the length-lex-least word accepted by ``a``
-    and rejected by ``b``, ties broken by alphabet order, under every
-    engine.  The bounded engine requires the right-hand automaton to be
-    partially ordered with deterministic self-loops; the unary engine
-    requires both sides unary and partially ordered.
+    and rejected by ``b``, ties broken by alphabet order, under both
+    engines.  The bounded engine requires the right-hand automaton to be
+    partially ordered with deterministic self-loops.  On one-letter
+    partially ordered automata the default ``GENERIC`` search is the
+    paper's polynomial walk: it stores at most |Q| + 1 pairs of subsets,
+    for |Q| the larger of the two state counts.
     """
     if tuple(a.alphabet) != tuple(b.alphabet):
         raise ValueError("inclusion requires identical alphabets")
@@ -224,24 +217,6 @@ def _includes_generic(left: Optional[Automaton], right: Automaton,
     except CapacityError:
         raise CapacityError(message.format(max_nodes)) from None
     return Decision(True) if word is None else Decision(False, word)
-
-
-def _includes_unary(a: Automaton, b: Automaton) -> Decision:
-    """Run both automata a letter per length until the pair of subsets
-    repeats.  The next pair depends on the current one alone, so from
-    the repeat on the walk only revisits pairs already checked.  On
-    partially ordered automata the subsets stop changing within |Q|
-    letters, which keeps the walk short."""
-    symbol = a.alphabet[0]
-    sa, sb = a.initial, b.initial
-    seen = set()
-    while (sa, sb) not in seen:
-        # each length so far added one pair to seen
-        if not a.accepting.isdisjoint(sa) and b.accepting.isdisjoint(sb):
-            return Decision(False, (symbol,) * len(seen))
-        seen.add((sa, sb))
-        sa, sb = a.move(sa, symbol), b.move(sb, symbol)
-    return Decision(True)
 
 
 def equivalent(a: Automaton, b: Automaton,

@@ -142,8 +142,17 @@ def cnf_to_rponfa(formula: CnfFormula) -> Automaton:
     so clauses alike after bit j share the state it reaches and the
     automaton is its own bisimulation quotient.  Builds at most
     ``DEFAULT_STATE_LIMIT`` states, and raises CapacityError past that.
+
+    Every output has at least 2n + 2 states: the length chain's n + 1,
+    one clause path's n and the start state, which the register cannot
+    merge across these groups or across depths.  A formula with
+    2n + 2 > ``DEFAULT_STATE_LIMIT`` is refused before any state is
+    made.  A formula of one one-literal clause meets the bound.
     """
     n = formula.variable_count
+    if 2 * n + 2 > DEFAULT_STATE_LIMIT:
+        raise CapacityError(
+            f"construction exceeded {DEFAULT_STATE_LIMIT} states")
     sk = _Sketch(("0", "1"))
     chain = sk.state("longer", accepting=True)
     sk.any_edge(chain, chain)

@@ -10,9 +10,11 @@ import pytest
 import ponfa.cli
 import ponfa.reductions
 from ponfa.cli import _build_parser, main
-from ponfa.core import Decision, parse_automaton, parse_word, serialize_automaton
+from ponfa.core import (Automaton, Decision, parse_automaton, parse_word,
+                        serialize_automaton)
 from ponfa.extremal import build_a
 from ponfa.reductions import cnf_to_rponfa, dtm_to_ponfa, parse_dimacs, parse_dtm
+from ponfa.triviality import is_r_trivial
 
 
 @pytest.fixture
@@ -62,9 +64,11 @@ def test_strategy_flag(extremal_path, capsys):
                            "--strategy", strategy)
         assert code == 0
         assert json.loads(out)["result"] is False
-    with pytest.raises(SystemExit) as info:
-        main(["universal", extremal_path, "--strategy", "nonsense"])
-    assert info.value.code == 1
+    # the one-letter engine is gone: GENERIC decides those inputs
+    for strategy in ("nonsense", "unary"):
+        with pytest.raises(SystemExit) as info:
+            main(["universal", extremal_path, "--strategy", strategy])
+        assert info.value.code == 1
 
 
 def test_gen_w_prints_tokens(capsys):
@@ -163,6 +167,20 @@ def test_rtrivial(extremal_path, capsys):
     code, out, _ = run(capsys, "rtrivial", extremal_path, "--k", "3")
     payload = json.loads(out)
     assert payload["result"] is True and payload["k"] == 3
+
+
+def test_rtrivial_reports_the_cycle_words(tmp_path, capsys):
+    # b*a(b*a)*, whose minimal automaton has the proper cycle p -a-> q -b-> p
+    loop_plus = Automaton(("a", "b"), ("p", "q"), ["p"], ["q"],
+                          {("p", "b"): ["p"], ("p", "a"): ["q"],
+                           ("q", "b"): ["p"], ("q", "a"): ["q"]})
+    path = tmp_path / "loop_plus.json"
+    path.write_text(serialize_automaton(loop_plus))
+    code, out, _ = run(capsys, "rtrivial", str(path))
+    payload = json.loads(out)
+    assert code == 0 and payload["result"] is False
+    assert payload["cycle_words"] == [
+        list(word) for word in is_r_trivial(loop_plus).cycle_words]
 
 
 def test_rtrivial_k_reports_the_least_bound_that_holds(extremal_path, capsys):
@@ -290,12 +308,19 @@ def test_capacity_exhaustion_exits_two(extremal_path, capsys):
 
 
 @pytest.mark.parametrize("command", ["universal", "include", "equal", "dre"])
-@pytest.mark.parametrize("value", ["0", "-5"])
-def test_non_positive_max_subsets_exits_one(extremal_path, command, value):
+@pytest.mark.parametrize("value, message", [
+    ("0", "must be positive, got 0"),
+    ("-5", "must be positive, got -5"),
+    ("abc", "invalid int value: 'abc'"),
+])
+def test_non_positive_max_subsets_exits_one(extremal_path, command, value,
+                                            message, capsys):
     files = [extremal_path] * (2 if command in ("include", "equal") else 1)
     with pytest.raises(SystemExit) as info:
         main([command, *files, "--max-subsets", value])
     assert info.value.code == 1
+    assert capsys.readouterr().err.endswith(
+        f"error: argument --max-subsets: {message}\n")
 
 
 def test_usage_errors_exit_one():

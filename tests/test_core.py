@@ -165,6 +165,7 @@ MALFORMED = [
     ("[]", "top-level value must be a JSON object"),
     ('{"alphabet": ["a"], "states": ["p"], "initial": [], "accepting": []}',
      "missing field 'transitions'"),
+    (EMPTY_FIELDS + '"p"}', "field 'transitions' must be a list"),
     (EMPTY_FIELDS + '[["p", "a"]]}',
      f"transition ['p', 'a'] {TRIPLE}"),
     ('{"alphabet": ["a"], "states": [1], "initial": [], "accepting": [],'

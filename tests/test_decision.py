@@ -1,4 +1,4 @@
-"""Universality, inclusion and equivalence under all three engines."""
+"""Universality, inclusion and equivalence under both engines."""
 
 import itertools
 import json
@@ -117,6 +117,10 @@ def test_generic_search_fits_in_its_node_budget():
     with pytest.raises(CapacityError) as caught:
         is_universal(build_a(3, 3), max_nodes=15)
     assert str(caught.value) == "universality search exceeded 15 subsets"
+    # Σ*'s one state is absorbing, so the pair search stores its start
+    # pair alone
+    assert includes(unary_chain(5, loop=False), sigma_star(("a",)),
+                    max_nodes=1) == Decision(True)
 
 
 def test_bounded_search_fits_in_its_node_budget():
@@ -145,7 +149,21 @@ def test_strategies_agree_on_rponfas():
         count += 1
 
 
-def test_unary_engine_matches_generic():
+def unary_reference(left, right):
+    """Inclusion of one-letter partially ordered automata by membership
+    of the words up to length N, the larger state count; ``left`` None
+    is Σ*.  From length N on the subsets of both sides stay the same,
+    so no longer word tells the languages apart."""
+    if left is None:
+        left = sigma_star(right.alphabet)
+    for length in range(max(len(left.states), len(right.states)) + 1):
+        word = right.alphabet * length
+        if accepts(left, word) and not accepts(right, word):
+            return Decision(False, word)
+    return Decision(True)
+
+
+def test_generic_decides_unary_automata_by_length():
     rng = random.Random(19)
     count = 0
     previous = []
@@ -159,30 +177,54 @@ def test_unary_engine_matches_generic():
                     Automaton(a.alphabet, a.states, a.initial, [],
                               a.transitions)]
         for b in variants:
-            assert (is_universal(b, strategy=Strategy.UNARY_PO)
-                    == is_universal(b, strategy=Strategy.GENERIC))
+            assert is_universal(b) == unary_reference(None, b)
             for other in previous:
                 for left, right in ((b, other), (other, b)):
-                    assert (includes(left, right, strategy=Strategy.UNARY_PO)
-                            == includes(left, right,
-                                        strategy=Strategy.GENERIC))
+                    assert includes(left, right) == unary_reference(left,
+                                                                    right)
         previous = variants
         count += 1
+
+
+def test_unary_search_stores_at_most_q_plus_one_subsets():
+    # the paper's one-letter bound: on a partially ordered automaton
+    # the subsets stop changing within |Q| letters, so an answer comes
+    # within |Q| + 1 stored subsets, |Q| the larger state count
+    rng = random.Random(11)
+    automata = [random_ponfa(rng, rng.randint(1, 12), ("a",))
+                for _ in range(300)]
+    for a in automata:
+        assert is_universal(a, max_nodes=len(a.states) + 1) \
+            == unary_reference(None, a)
+    for a, b in zip(automata, automata[1:]):
+        assert includes(a, b, max_nodes=max(len(a.states),
+                                            len(b.states)) + 1) \
+            == unary_reference(a, b)
+    # a chain of L states stores all L + 1 subsets, the empty one last
+    length = 50
+    finite = unary_chain(length, loop=False)
+    universal = unary_chain(length, loop=True)
+    for decide, args in ((is_universal, (finite,)),
+                         (includes, (universal, finite))):
+        assert decide(*args, max_nodes=length + 1) \
+            == Decision(False, ("a",) * length)
+        with pytest.raises(CapacityError):
+            decide(*args, max_nodes=length)
 
 
 def test_strategy_accepts_plain_strings():
     a = sigma_star(("a",))
     assert is_universal(a, strategy="generic").holds
-    assert is_universal(a, strategy="unary").holds
     assert is_universal(a, strategy="bounded").holds
-    with pytest.raises(ValueError):
-        is_universal(a, strategy="zigzag")
+    assert list(Strategy) == [Strategy.GENERIC, Strategy.RPONFA_BOUNDED]
+    for unknown in ("zigzag", "unary"):
+        with pytest.raises(ValueError):
+            is_universal(a, strategy=unknown)
 
 
 def test_explicit_engine_requirements():
     binary = sigma_star(("a", "b"))
-    with pytest.raises(ValueError):
-        is_universal(binary, strategy=Strategy.UNARY_PO)
+    assert is_universal(binary) == Decision(True)
     cyclic = Automaton(("a",), ("p", "q"), ["p"], ["q"],
                        {("p", "a"): ["q"], ("q", "a"): ["p"]})
     # partially ordered, but p's self-loop on a also leaves for q
@@ -192,6 +234,10 @@ def test_explicit_engine_requirements():
     for a in (cyclic, branching):
         with pytest.raises(ValueError):
             is_universal(a, strategy=Strategy.RPONFA_BOUNDED)
+        # GENERIC decides both
+        expected = brute_shortest_rejected(a, 4)
+        assert is_universal(a) == (Decision(True) if expected is None
+                                   else Decision(False, expected))
 
 
 def test_long_chain_is_decided_without_warnings(caplog):
@@ -316,13 +362,12 @@ def test_includes_engines_agree():
 def test_unary_inclusion():
     finite = Automaton(("a",), ("p", "q"), ["p"], ["q"], {("p", "a"): ["q"]})
     infinite = Automaton(("a",), ("p",), ["p"], ["p"], {("p", "a"): ["p"]})
-    assert includes(finite, infinite, strategy=Strategy.UNARY_PO).holds
-    verdict = includes(infinite, finite, strategy=Strategy.UNARY_PO)
-    assert not verdict.holds
-    assert verdict.witness == ()
-    with pytest.raises(ValueError):
-        includes(sigma_star(("a", "b")), sigma_star(("a", "b")),
-                 strategy=Strategy.UNARY_PO)
+    assert includes(finite, infinite) == unary_reference(finite, infinite) \
+        == Decision(True)
+    verdict = includes(infinite, finite)
+    assert verdict == unary_reference(infinite, finite) \
+        == Decision(False, ())
+    assert includes(sigma_star(("a", "b")), sigma_star(("a", "b"))).holds
 
 
 def unary_chain(length, loop):
@@ -335,21 +380,23 @@ def unary_chain(length, loop):
     return Automaton(("a",), states, [states[0]], states, transitions)
 
 
-def test_unary_engine_walks_a_long_chain_once():
-    # the engine advances one subset per side a letter at a time; a
-    # fresh simulation per length is quadratic, about 20 s per call on
-    # a 2-vCPU host
+def test_generic_walks_a_long_unary_chain_once():
+    # the search stores one subset per side a letter at a time; a fresh
+    # simulation per length is quadratic, about 20 s per call on a
+    # 2-vCPU host
     length = 5000
     universal = unary_chain(length, loop=True)
     finite = unary_chain(length, loop=False)
     start = time.monotonic()
-    for decide, args in ((is_universal, (universal,)),
-                         (includes, (finite, universal)),
-                         (includes, (universal, finite))):
-        unary = decide(*args, strategy=Strategy.UNARY_PO)
-        assert unary == decide(*args, strategy=Strategy.GENERIC)
+    verdicts = [is_universal(universal), includes(finite, universal),
+                includes(universal, finite)]
     assert time.monotonic() - start < 5.0
-    assert unary == Decision(False, ("a",) * length)
+    assert verdicts == [Decision(True), Decision(True),
+                        Decision(False, ("a",) * length)]
+    # the witness is the one length that tells the chains apart
+    assert accepts(universal, ("a",) * length)
+    assert not accepts(finite, ("a",) * length)
+    assert accepts(finite, ("a",) * (length - 1))
 
 
 def wide_chain(length, width):

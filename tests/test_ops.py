@@ -79,13 +79,23 @@ def test_determinize_respects_the_subset_cap():
         determinize(a, max_subsets=16)
 
 
-def test_minimize_requires_complete_dfa():
-    nfa = Automaton(("a",), ("p", "q"), ["p"], ["q"], {("p", "a"): ["p", "q"]})
-    with pytest.raises(ValueError):
-        minimize(nfa)
-    partial = Automaton(("a", "b"), ("p",), ["p"], ["p"], {("p", "a"): ["p"]})
-    with pytest.raises(ValueError):
-        minimize(partial)
+@pytest.mark.parametrize("a, message", [
+    (Automaton(("a",), ("p", "q"), ["p"], ["q"], {("p", "a"): ["p", "q"]}),
+     "minimize requires a complete deterministic automaton; "
+     "state 'p' has 2 moves on 'a'"),
+    (Automaton(("a", "b"), ("p",), ["p"], ["p"], {("p", "a"): ["p"]}),
+     "minimize requires a complete deterministic automaton; "
+     "state 'p' has 0 moves on 'b'"),
+    (Automaton(("a",), ("p", "q"), ["p", "q"], ["q"],
+               {("p", "a"): ["p"], ("q", "a"): ["q"]}),
+     "minimize requires a single initial state"),
+    (Automaton(("a",), ("p",), [], ["p"], {("p", "a"): ["p"]}),
+     "minimize requires a single initial state"),
+], ids=["nfa", "partial", "two-initial", "no-initial"])
+def test_minimize_requires_complete_dfa(a, message):
+    with pytest.raises(ValueError) as caught:
+        minimize(a)
+    assert str(caught.value) == message
 
 
 def test_minimize_collapses_equivalent_states():

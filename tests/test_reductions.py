@@ -226,35 +226,75 @@ def test_dimacs_round_trip():
     assert formula.clauses == (frozenset({1, -2}), frozenset({2, 3}))
 
 
-@pytest.mark.parametrize("text", [
-    "",
-    "p cnf 1 1\n",
-    "p cnf 1 1\n1 0\n2 0\n",
-    "p cnf 1 0\n",
-    "p cnf 2 1\n3 0\n",
-    "p cnf 2 1\n1 x 0\n",
-    "1 0\np cnf 1 1\n",
-    "p cnf 2 1\n1 -1 0\n",
+@pytest.mark.parametrize("text, message", [
+    ("", "missing 'p cnf' header"),
+    ("p cnf 1 1\n", "header announces 1 clauses, found 0"),
+    ("p cnf 1 1\n1 0\n2 0\n", "header announces 1 clauses, found 2"),
+    ("p cnf 1 0\n", "a formula needs at least one clause"),
+    ("p cnf 2 1\n3 0\n", "clause 1: variable 3 out of range"),
+    ("p cnf 2 1\n1 x 0\n", "line 2: bad literal 'x'"),
+    ("1 0\np cnf 1 1\n", "line 1: clause before the header"),
+    ("p cnf 2 1\n1 -1 0\n", "clause 1 contains a variable and its negation"),
+    ("p cnf 1 1\np cnf 1 1\n1 0\n", "line 2: duplicate header"),
+    ("p cnf 1\n1 0\n", "line 1: expected 'p cnf <variables> <clauses>'"),
+    ("p dnf 1 1\n1 0\n", "line 1: expected 'p cnf <variables> <clauses>'"),
+    ("p cnf one 1\n1 0\n", "line 1: header counts must be integers"),
+    ("p cnf 1 1\n1\n", "last clause is not terminated by 0"),
 ])
-def test_dimacs_rejects_malformed(text):
-    with pytest.raises(FormatError):
+def test_dimacs_rejects_malformed(text, message):
+    with pytest.raises(FormatError) as caught:
         parse_dimacs(text)
+    assert str(caught.value) == message
 
 
-def test_machine_validation():
-    with pytest.raises(FormatError):
-        Dtm(("go",), ("1", "_"), ("1",), "_", "go", "go",
-            {("go", "1"): ("go", "1", "S"), ("go", "_"): ("go", "_", "S")}, 1)
-    with pytest.raises(FormatError):
-        Dtm(("go", "yes"), ("1", "_"), ("1", "_"), "_", "go", "yes",
-            {("go", "1"): ("yes", "1", "S"), ("go", "_"): ("go", "_", "S")}, 1)
-    with pytest.raises(FormatError):
-        Dtm(("go", "yes"), ("1", "_"), ("1",), "_", "go", "yes",
-            {("go", "1"): ("yes", "1", "S")}, 1)
-    with pytest.raises(FormatError):
-        Dtm(("go", "yes"), ("1", "_"), ("1",), "_", "go", "yes",
-            {("go", "1"): ("yes", "1", "X"),
-             ("go", "_"): ("go", "_", "S")}, 1)
+def test_evaluate_checks_the_assignment_length():
+    formula = CnfFormula(2, (frozenset({1}),))
+    for assignment in ((True,), (True, False, True)):
+        with pytest.raises(ValueError) as caught:
+            formula.evaluate(assignment)
+        assert str(caught.value) == (
+            "assignment length must match the variable count")
+
+
+GO_RULES = {("go", "1"): ("yes", "1", "S"), ("go", "_"): ("go", "_", "S")}
+
+
+@pytest.mark.parametrize("changes, message", [
+    (dict(states=()), "states must be distinct and nonempty"),
+    (dict(states=("go", "go", "yes")), "states must be distinct and nonempty"),
+    (dict(tape_alphabet=()), "tape alphabet must be distinct and nonempty"),
+    (dict(tape_alphabet=("1", "_", "1")),
+     "tape alphabet must be distinct and nonempty"),
+    (dict(input_alphabet=("1", "2")),
+     "input symbols missing from the tape alphabet: ['2']"),
+    (dict(blank="b"), "the blank must be a tape symbol"),
+    (dict(input_alphabet=("1", "_")), "the blank must not be an input symbol"),
+    (dict(initial="start"), "unknown state 'start'"),
+    (dict(accepting="halt"), "unknown state 'halt'"),
+    (dict(accepting="go"), "initial and accepting states must differ"),
+    (dict(space_bound=0), "space bound must be positive"),
+    (dict(transitions={**GO_RULES, ("stop", "1"): ("go", "1", "S")}),
+     "transition from unknown state 'stop'"),
+    (dict(transitions={**GO_RULES, ("go", "2"): ("go", "1", "S")}),
+     "transition on unknown symbol '2'"),
+    (dict(transitions={**GO_RULES, ("go", "1"): ("yes", "1")}),
+     "transition for ('go', '1') must be (state, symbol, move)"),
+    (dict(transitions={**GO_RULES, ("go", "1"): ("no", "1", "S")}),
+     "transition to unknown state 'no'"),
+    (dict(transitions={**GO_RULES, ("go", "1"): ("yes", "2", "S")}),
+     "transition writes unknown symbol '2'"),
+    (dict(transitions={**GO_RULES, ("go", "1"): ("yes", "1", "X")}),
+     "move must be one of ('L', 'R', 'S'), got 'X'"),
+    (dict(transitions={("go", "1"): ("yes", "1", "S")}),
+     "missing transition for ('go', '_')"),
+])
+def test_machine_validation(changes, message):
+    fields = dict(states=("go", "yes"), tape_alphabet=("1", "_"),
+                  input_alphabet=("1",), blank="_", initial="go",
+                  accepting="yes", transitions=GO_RULES, space_bound=1)
+    with pytest.raises(FormatError) as caught:
+        Dtm(**{**fields, **changes})
+    assert str(caught.value) == message
 
 
 def test_simulation_statuses():
@@ -533,12 +573,32 @@ def test_register_makes_each_state_once():
     lambda: dtm_to_ponfa(ACCEPT1, ("1",)),
     # the length chain alone has 61 states, the clause paths 61 more
     lambda: cnf_to_rponfa(CnfFormula(60, (frozenset({1}), frozenset({-1})))),
-], ids=["dtm", "cnf"])
+    # 2n + 2 = 62 states fit, but clause k adds k states of its own
+    lambda: cnf_to_rponfa(CnfFormula(30, tuple(
+        frozenset({k}) for k in range(1, 31)))),
+], ids=["dtm", "cnf", "cnf-clauses"])
 def test_state_budget_raises_capacity_error(monkeypatch, build):
     monkeypatch.setattr(reductions, "DEFAULT_STATE_LIMIT", 100)
     with pytest.raises(CapacityError,
                        match="^construction exceeded 100 states$"):
         build()
+
+
+def test_oversized_formula_is_refused_before_building(monkeypatch):
+    monkeypatch.setattr(reductions, "DEFAULT_STATE_LIMIT", 100)
+    # a formula of one one-literal clause has exactly 2n + 2 states
+    fits = CnfFormula(49, (frozenset({1}),))
+    assert len(cnf_to_rponfa(fits).states) == 100
+
+    def unbuilt(alphabet):
+        raise AssertionError("the construction started")
+
+    monkeypatch.setattr(reductions, "_Sketch", unbuilt)
+    with pytest.raises(AssertionError):
+        cnf_to_rponfa(fits)
+    with pytest.raises(CapacityError,
+                       match="^construction exceeded 100 states$"):
+        cnf_to_rponfa(CnfFormula(50, (frozenset({1}),)))
 
 
 def test_parse_dtm_round_trip():
@@ -559,25 +619,39 @@ def test_parse_dtm_round_trip():
     assert encode_run(machine, ("1", "1")) == encode_run(ACCEPT2, ("1", "1"))
 
 
-@pytest.mark.parametrize("mangle", [
-    lambda d: d.pop("states"),
-    lambda d: d.update(states="go"),
-    lambda d: d.update(space_bound=True),
-    lambda d: d["transitions"].append(["go", "1", "right", "1", "R"]),
-    lambda d: d["transitions"].append(["go"]),
+DTM_FIELDS = {
+    "states": ["go", "yes"],
+    "tape_alphabet": ["1", "_"],
+    "input_alphabet": ["1"],
+    "blank": "_",
+    "initial": "go",
+    "accepting": "yes",
+    "space_bound": 1,
+    "transitions": [["go", "1", "yes", "1", "S"],
+                    ["go", "_", "go", "_", "S"]],
+}
+
+
+def dtm_json(drop=None, **changes):
+    """ACCEPT1 as JSON, without the field ``drop``, with ``changes``."""
+    return json.dumps({field: value for field, value in
+                       {**DTM_FIELDS, **changes}.items() if field != drop})
+
+
+@pytest.mark.parametrize("text, message", [
+    ("not json", "invalid JSON: Expecting value: line 1 column 1 (char 0)"),
+    ("[]", "machine description must be a JSON object"),
+    (dtm_json(drop="states"), "missing fields: states"),
+    (dtm_json(states="go"), "field 'states' must be a list"),
+    (dtm_json(blank=1), "field 'blank' must be a string"),
+    (dtm_json(space_bound=True), "field 'space_bound' must be an integer"),
+    (dtm_json(transitions=[*DTM_FIELDS["transitions"],
+                           ["go", "1", "right", "1", "R"]]),
+     "transition 2: duplicate rule for ('go', '1')"),
+    (dtm_json(transitions=[*DTM_FIELDS["transitions"], ["go"]]),
+     "transition 2: expected [state, symbol, state, symbol, move]"),
 ])
-def test_parse_dtm_rejects_malformed(mangle):
-    payload = {
-        "states": ["go", "yes"],
-        "tape_alphabet": ["1", "_"],
-        "input_alphabet": ["1"],
-        "blank": "_",
-        "initial": "go",
-        "accepting": "yes",
-        "space_bound": 1,
-        "transitions": [["go", "1", "yes", "1", "S"],
-                        ["go", "_", "go", "_", "S"]],
-    }
-    mangle(payload)
-    with pytest.raises(FormatError):
-        parse_dtm(json.dumps(payload))
+def test_parse_dtm_rejects_malformed(text, message):
+    with pytest.raises(FormatError) as caught:
+        parse_dtm(text)
+    assert str(caught.value) == message
