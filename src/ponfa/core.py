@@ -17,9 +17,9 @@ The automaton classes recognised by ``classify`` form a small lattice:
 
 "Partially ordered" means the reachability relation on states is a
 partial order, equivalently that every cycle in the transition graph
-is a self-loop.  ``components`` is the one pass that answers every
-cycle question: classification, depth, and the cycle checks of the
-triviality and orbit modules.
+is a self-loop.  ``components`` and its Tarjan core answer every cycle
+question: classification, depth, and, on integer successor tables, the
+cycle checks of the triviality and orbit modules.
 """
 
 from __future__ import annotations
@@ -28,11 +28,13 @@ import json
 from dataclasses import dataclass
 from enum import Enum
 from json.encoder import encode_basestring_ascii
-from typing import Iterable, Mapping, Sequence
+from typing import Hashable, Iterable, Mapping, Sequence, TypeVar
 
 Word = tuple[str, ...]
 
 EMPTY: frozenset[str] = frozenset()
+
+Node = TypeVar("Node", bound=Hashable)
 
 
 class FormatError(ValueError):
@@ -252,20 +254,22 @@ def accepts(a: Automaton, word: Iterable[str]) -> bool:
     return bool(current & a.accepting)
 
 
-def _strongly_connected_components(vertices: Sequence[str],
-                                   edges: Mapping[str, list[str]]
-                                   ) -> list[list[str]]:
-    """Iterative Tarjan; components come out in reverse topological order."""
-    index: dict[str, int] = {}
-    low: dict[str, int] = {}
-    on_stack: set[str] = set()
-    stack: list[str] = []
-    components: list[list[str]] = []
+def _strongly_connected_components(
+        vertices: Iterable[Node],
+        edges: Mapping[Node, list[Node]] | Sequence[list[Node]]
+        ) -> list[list[Node]]:
+    """Iterative Tarjan; components come out in reverse topological
+    order, the same with or without self-loops and repeated edges."""
+    index: dict[Node, int] = {}
+    low: dict[Node, int] = {}
+    on_stack: set[Node] = set()
+    stack: list[Node] = []
+    components: list[list[Node]] = []
     counter = 0
     for root in vertices:
         if root in index:
             continue
-        work: list[tuple[str, int]] = [(root, 0)]
+        work: list[tuple[Node, int]] = [(root, 0)]
         while work:
             v, ei = work.pop()
             if ei == 0:
@@ -274,7 +278,7 @@ def _strongly_connected_components(vertices: Sequence[str],
                 stack.append(v)
                 on_stack.add(v)
             advanced = False
-            targets = edges.get(v, [])
+            targets = edges[v]
             while ei < len(targets):
                 w = targets[ei]
                 ei += 1

@@ -3,11 +3,11 @@
 A deterministic (one-unambiguous) regular expression is one where,
 while reading a word left to right, each symbol matches a unique
 position of the expression.  Whether a language has such an expression
-is decided on its minimal DFA through the orbit criterion of
-Brüggemann-Klein and Wood: the strongly connected components, or
-orbits, must present a uniform face to the rest of the automaton (the
-orbit property), and the languages looping inside each orbit must be
-definable in turn.
+is decided on its minimal DFA, an integer table that names no state,
+through the orbit criterion of Brüggemann-Klein and Wood: the strongly
+connected components, or orbits, must present a uniform face to the
+rest of the automaton (the orbit property), and the languages looping
+inside each orbit must be definable in turn.
 
 The recursion needs care on strongly connected automata, where the
 orbit is the whole machine and restricting to it makes no progress.
@@ -28,11 +28,14 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from typing import Optional
 
-from .core import Automaton, components
-from .ops import DEFAULT_SUBSET_LIMIT, co_reachable_states, minimal_dfa
+from .core import Automaton, _strongly_connected_components
+from .ops import DEFAULT_SUBSET_LIMIT, _explore, _hopcroft, _minimal_table
 
 logger = logging.getLogger(__name__)
+
+Table = list[list[Optional[int]]]   # a DFA's rows: start 0, None: no move
 
 
 @dataclass(frozen=True)
@@ -51,126 +54,120 @@ class OrbitDecomposition:
         raise KeyError(state)
 
 
-def orbits(d: Automaton) -> OrbitDecomposition:
-    """Orbit decomposition of a deterministic automaton.  A state with
-    only a self-loop is its own orbit; so is a state with no cycle at
-    all, the two differing only in their orbit language."""
+def _read(d: Automaton) -> tuple[Table, list[bool]]:
+    """A deterministic automaton as successor rows over its state
+    indices, with None for a missing move, and acceptance flags."""
     # checked here, not through classify, which would add a second
     # component pass
     if len(d.initial) != 1 or any(len(t) > 1 for t in d.transitions.values()):
         raise ValueError("orbit analysis requires a deterministic automaton")
-    orbit_list = tuple(frozenset(component) for component in components(d))
-    gate_list = []
-    for orbit in orbit_list:
-        gate_list.append(frozenset(
-            q for q in orbit
-            if q in d.accepting
-            or any(t not in orbit
-                   for symbol in d.alphabet for t in d.step(q, symbol))))
-    return OrbitDecomposition(orbit_list, tuple(gate_list))
+    rows: Table = [[None] * len(d.alphabet) for _ in d.states]
+    for (q, symbol), (t,) in d.transitions.items():
+        rows[d.state_index(q)][d.symbol_index(symbol)] = d.state_index(t)
+    return rows, [q in d.accepting for q in d.states]
+
+
+def _orbits(rows: Table, accepting: list[bool]
+            ) -> list[tuple[list[int], list[int], bool]]:
+    """Each orbit of a table, in ``core.components`` order, with its
+    gates, both in state order, and whether the gates agree: the same
+    acceptance and, on each symbol, the same move out of the orbit."""
+    out = []
+    for component in _strongly_connected_components(range(len(rows)), [
+            [t for t in row if t is not None] for row in rows]):
+        orbit = sorted(component)
+        members = set(orbit)
+        gates = [q for q in orbit if accepting[q] or any(
+            t is not None and t not in members for t in rows[q])]
+        faces = {(accepting[q], tuple(t if t not in members else None
+                                      for t in rows[q])) for q in gates}
+        out.append((orbit, gates, len(faces) <= 1))
+    return out
+
+
+def orbits(d: Automaton) -> OrbitDecomposition:
+    """Orbit decomposition of a deterministic automaton.  A state with
+    only a self-loop is its own orbit; so is a state with no cycle at
+    all, the two differing only in their orbit language."""
+    name = d.states.__getitem__
+    decomposition = _orbits(*_read(d))
+    return OrbitDecomposition(
+        tuple(frozenset(map(name, orbit)) for orbit, _, _ in decomposition),
+        tuple(frozenset(map(name, gates)) for _, gates, _ in decomposition))
 
 
 def has_orbit_property(d: Automaton) -> bool:
     """True when, in every orbit, all gates agree: same acceptance
     status, and on each symbol the same targets outside the orbit."""
-    return _gates_agree(d, orbits(d))
+    return all(agree for _orbit, _gates, agree in _orbits(*_read(d)))
 
 
-def _gates_agree(d: Automaton, decomposition: OrbitDecomposition) -> bool:
-    for orbit, gates in zip(decomposition.orbits, decomposition.gates):
-        ordered = sorted(gates, key=d.state_index)
-        if len(ordered) < 2:
-            continue
-        first = ordered[0]
-        for other in ordered[1:]:
-            if (first in d.accepting) != (other in d.accepting):
-                return False
-            for symbol in d.alphabet:
-                outside_first = d.step(first, symbol) - orbit
-                outside_other = d.step(other, symbol) - orbit
-                if outside_first != outside_other:
-                    return False
-    return True
-
-
-def _restrict(d: Automaton, keep: set[str] | frozenset[str],
-              initial: list[str], accepting: frozenset[str]) -> Automaton:
-    """``d`` with its states, and the moves between them, cut down to
-    ``keep``."""
-    states = [q for q in d.states if q in keep]
-    transitions = {
-        (source, symbol): targets & keep
-        for (source, symbol), targets in d.transitions.items()
-        if source in keep
-    }
-    return Automaton(d.alphabet, states, initial, accepting, transitions)
-
-
-def _trim(d: Automaton) -> Automaton | None:
-    """Drop states that cannot reach an accepting state, or None when
-    none remains reachable (the empty language)."""
-    useful = co_reachable_states(d)
-    initial = [q for q in d.initial if q in useful]
-    if not initial:
+def _trim(rows: Table, accepting: list[bool]
+          ) -> tuple[Table, list[bool]] | None:
+    """A minimal complete DFA without its dead state, the one rejecting
+    state whose every move loops, or None when that is state 0, the
+    start (the empty language).  The other states keep their order."""
+    dead = next((q for q, row in enumerate(rows) if not accepting[q]
+                 and all(t == q for t in row)), None)
+    if dead is None:
+        return rows, accepting
+    if dead == 0:
         return None
-    return _restrict(d, useful, initial, d.accepting & useful)
+    return ([[None if t == dead else t - (t > dead) for t in row]
+             for q, row in enumerate(rows) if q != dead],
+            accepting[:dead] + accepting[dead + 1:])
 
 
-def _minimal_trimmed(a: Automaton,
-                     max_subsets: int = DEFAULT_SUBSET_LIMIT) -> Automaton | None:
-    return _trim(minimal_dfa(a, max_subsets))
+def _orbit_language(rows: Table, orbit: list[int], start: int,
+                    gates: list[int]) -> tuple[Table, list[bool]] | None:
+    """The trimmed minimal DFA of the language read inside the orbit
+    from ``start`` to a gate.  It determinizes to the orbit states
+    reachable from ``start``, in breadth-first order, and a rejecting
+    sink, None, that takes the moves leaving the orbit or missing."""
+    members = set(orbit)
+    sink: list[Optional[int]] = [None] * len(rows[start])
+    graph = _explore([start], lambda q: [
+        (s, t if t in members else None)    # None is no member
+        for s, t in enumerate(sink if q is None else rows[q])])
+    number = {q: i for i, q in enumerate(graph)}
+    table = [[number[t] for _s, t in edges] for edges in graph.values()]
+    final = set(gates)
+    return _trim(*_hopcroft(table, [q in final for q in graph])[1:])
 
 
-def _consistent_symbols(d: Automaton) -> set[str]:
-    """Symbols on which every accepting state moves to one shared
-    target."""
-    consistent = set()
-    for symbol in d.alphabet:
-        targets = {d.step(q, symbol) for q in d.accepting}
-        if len(targets) == 1 and len(next(iter(targets))) == 1:
-            consistent.add(symbol)
-    return consistent
-
-
-def _cut_at_accepting(d: Automaton, symbols: set[str]) -> Automaton:
-    transitions = {
-        (source, symbol): targets
-        for (source, symbol), targets in d.transitions.items()
-        if not (source in d.accepting and symbol in symbols)
-    }
-    return Automaton(d.alphabet, d.states, d.initial, d.accepting,
-                     transitions)
-
-
-def _definable(d: Automaton | None) -> bool:
+def _definable(d: tuple[Table, list[bool]] | None) -> bool:
     """Whether the language of a trimmed minimal DFA, None standing for
     the empty language, is definable."""
-    if d is None or len(d.states) <= 1:
+    if d is None or len(d[0]) <= 1:
         return True
-    decomposition = orbits(d)
-    if len(decomposition.orbits) == 1:
+    rows, accepting = d
+    decomposition = _orbits(rows, accepting)
+    if len(decomposition) == 1:
         # the whole automaton is one strongly connected component, whose
-        # gates, its accepting states, agree; cut the symbols all
-        # accepting states agree on, to break the component
-        d = _cut_at_accepting(d, _consistent_symbols(d))
-        decomposition = orbits(d)
-        if len(decomposition.orbits) == 1:
+        # gates, its accepting states, agree; cut the symbols on which
+        # every accepting state moves to one shared target, to break it
+        final = [q for q, accepts in enumerate(accepting) if accepts]
+        cut = [len({rows[q][s] for q in final}) == 1
+               and rows[final[0]][s] is not None for s in range(len(rows[0]))]
+        rows = [[None if accepts and cut[s] else t for s, t in enumerate(row)]
+                for row, accepts in zip(rows, accepting)]
+        decomposition = _orbits(rows, accepting)
+        if len(decomposition) == 1:
             logger.warning(
                 "strongly connected automaton with %d states survives its "
-                "cut; deciding not definable", len(d.states))
+                "cut; deciding not definable", len(rows))
             return False
-    if not _gates_agree(d, decomposition):
+    if not all(agree for _orbit, _gates, agree in decomposition):
         return False
-    for orbit, gates in zip(decomposition.orbits, decomposition.gates):
+    for orbit, gates, _agree in decomposition:
         # the orbit language of a single state has a minimal DFA of at
         # most one state, which is always definable
         if len(orbit) == 1:
             continue
-        for start in sorted(orbit, key=d.state_index):
+        for start in orbit:
             # an orbit of m states, fewer than d has, determinizes to at
-            # most m + 1 subsets, so the top-level budget cannot bind
-            restricted = _restrict(d, orbit, [start], gates)
-            if not _definable(_minimal_trimmed(restricted)):
+            # most m + 1 subsets, so no budget is needed
+            if not _definable(_orbit_language(rows, orbit, start, gates)):
                 return False
     return True
 
@@ -179,6 +176,7 @@ def is_dre_definable(a: Automaton,
                      max_subsets: int = DEFAULT_SUBSET_LIMIT) -> bool:
     """Whether the language of the automaton is definable by a
     deterministic regular expression.  The input may be any automaton;
-    the decision runs on its minimal DFA, and ``max_subsets`` bounds
-    the subset construction that builds it."""
-    return _definable(_minimal_trimmed(a, max_subsets))
+    the decision runs on its minimal DFA, as the integer table
+    ``ops._minimal_table`` builds, and ``max_subsets`` bounds the subset
+    construction that builds it."""
+    return _definable(_trim(*_minimal_table(a, max_subsets)))

@@ -9,9 +9,10 @@ emptiness test are always the shortest accepted word, with ties broken
 lexicographically by alphabet order.
 
 Determinization and minimization work on integer tables: subsets are
-frozensets of state indices, and one Hopcroft core partitions a table
-of successor numbers.  It serves ``minimize`` and ``minimal_dfa``; the
-latter feeds it the subset table and never builds the intermediate DFA.
+frozensets of state indices, and one Hopcroft core turns a table of
+successor numbers into the minimal DFA's.  ``minimal_dfa`` names the
+subset table's; ``_minimal_table`` hands it unnamed to R-triviality
+and DRE definability.  Neither builds the intermediate DFA.
 ``bisimulation_quotient`` merges the bisimilar states of a partially
 ordered automaton in one pass; universality searches the quotient.
 """
@@ -19,18 +20,15 @@ ordered automaton in one pass; universality searches the quotient.
 from __future__ import annotations
 
 from collections import deque
-from typing import (Callable, Hashable, Iterable, Optional, Sequence, TypeVar,
-                    Union)
+from typing import Callable, Iterable, Optional, Sequence, Union
 
-from .core import (EMPTY, Automaton, CapacityError, Decision, Word,
+from .core import (EMPTY, Automaton, CapacityError, Decision, Node, Word,
                    _strongly_connected_components, components)
 
 DEFAULT_SUBSET_LIMIT = 1 << 20
 
 INFINITE = float("inf")
 LanguageSize = Union[int, float]
-
-Node = TypeVar("Node", bound=Hashable)
 
 
 def _claim(name: str, taken: set[str]) -> str:
@@ -88,14 +86,14 @@ def _set_names(states: Sequence[str],
                    taken) for members in sets]
 
 
-def _subset_table(a: Automaton, max_subsets: int
-                  ) -> tuple[list[frozenset[int]], list[list[int]], set[int]]:
+def _subset_table(a: Automaton, max_subsets: int) -> tuple[
+        list[frozenset[int]], list[list[int]], list[bool]]:
     """Subset construction over state indices.
 
     Returns the reachable subsets in breadth-first discovery order, the
     successor table (``table[i][s]`` is the index of the subset that
-    subset ``i`` moves to on letter ``s``) and the indices of the
-    accepting subsets.  Subset 0 is the set of initial states.
+    subset ``i`` moves to on letter ``s``) and the acceptance of each
+    subset.  Subset 0 is the set of initial states.
     """
     index = a.state_index
     none: frozenset[int] = frozenset()
@@ -116,7 +114,7 @@ def _subset_table(a: Automaton, max_subsets: int
              for edges in graph.values()]
     accepting = frozenset(map(index, a.accepting))
     return (list(graph), table,
-            {i for i, subset in enumerate(graph) if subset & accepting})
+            [not accepting.isdisjoint(subset) for subset in graph])
 
 
 def determinize(a: Automaton, max_subsets: int = DEFAULT_SUBSET_LIMIT) -> Automaton:
@@ -129,14 +127,23 @@ def determinize(a: Automaton, max_subsets: int = DEFAULT_SUBSET_LIMIT) -> Automa
     Exceeding ``max_subsets`` distinct subsets raises ``CapacityError``.
     """
     subsets, table, accepting = _subset_table(a, max_subsets)
-    names = _set_names(a.states, subsets)
+    return _named_dfa(a.alphabet, a.states, 0, subsets, table, accepting)
+
+
+def _named_dfa(alphabet: Sequence[str], names: Sequence[str], start: int,
+               members: Sequence[Iterable[int]], rows: list[list[int]],
+               accepting: list[bool]) -> Automaton:
+    """The complete DFA of a table whose state ``i`` is named after its
+    members ``members[i]``, indices into ``names``, by ``_set_names``."""
+    state_names = _set_names(names, members)
     # one frozenset per target state, not one per move
-    targets = [frozenset((name,)) for name in names]
-    transitions = {(names[i], sym): targets[t]
-                   for i, row in enumerate(table)
-                   for sym, t in zip(a.alphabet, row)}
-    return Automaton(a.alphabet, names, [names[0]],
-                     [names[i] for i in sorted(accepting)], transitions)
+    targets = [frozenset((name,)) for name in state_names]
+    transitions = {(name, sym): targets[t]
+                   for name, row in zip(state_names, rows)
+                   for sym, t in zip(alphabet, row)}
+    return Automaton(alphabet, state_names, [state_names[start]],
+                     [name for name, accepts in zip(state_names, accepting)
+                      if accepts], transitions)
 
 
 def _require_complete_dfa(a: Automaton, operation: str) -> None:
@@ -150,10 +157,12 @@ def _require_complete_dfa(a: Automaton, operation: str) -> None:
                     f"state {q!r} has {len(a.step(q, sym))} moves on {sym!r}")
 
 
-def _hopcroft(table: list[list[int]], accepting: set[int]) -> list[int]:
-    """Block number of each state of a complete DFA given as a successor
-    table, in the coarsest partition that separates accepting from
-    rejecting states and that every letter maps into itself.
+def _hopcroft(table: list[list[int]], accepting: list[bool]
+              ) -> tuple[list[list[int]], list[list[int]], list[bool]]:
+    """The minimal DFA of a complete DFA's table: the blocks of the
+    coarsest partition that separates accepting from rejecting states
+    and that every letter maps into itself, as state lists in the order
+    of their first members, and each block's successor row and acceptance.
 
     Hopcroft's partition refinement, in the form of Valmari ("Fast
     brief practical DFA minimization", 2012).  Starting from the
@@ -169,8 +178,8 @@ def _hopcroft(table: list[list[int]], accepting: set[int]) -> list[int]:
     for i, row in enumerate(table):
         for s, t in enumerate(row):
             inverse[s][t].append(i)
-    blocks = [side for side in (set(accepting),
-                                set(range(len(table))) - accepting)
+    blocks = [side for side in ({i for i, f in enumerate(accepting) if f},
+                                {i for i, f in enumerate(accepting) if not f})
               if side]
     block_of = [0] * len(table)
     for b, block in enumerate(blocks):
@@ -200,29 +209,20 @@ def _hopcroft(table: list[list[int]], accepting: set[int]) -> list[int]:
                         else c)
                 pending.append((half, r))
                 queued.add((half, r))
-    return block_of
-
-
-def _quotient(alphabet: Sequence[str], names: Sequence[str],
-              table: list[list[int]], accepting: set[int], start: int,
-              block_of: list[int]) -> Automaton:
-    """The DFA whose states are the blocks of ``block_of``, over a
-    complete DFA whose states are numbered in declaration order.
-    Blocks come in the order of their first member and are named by
-    their members, such as ``{{q0},{q1,q2}}`` for two subsets."""
     members: dict[int, list[int]] = {}
     for i, b in enumerate(block_of):
         members.setdefault(b, []).append(i)
-    block_names = dict(zip(members, _set_names(names, members.values())))
-    # one frozenset per target block, not one per move
-    targets = {b: frozenset((name,)) for b, name in block_names.items()}
-    transitions = {(name, sym): targets[block_of[t]]
-                   for b, name in block_names.items()
-                   for sym, t in zip(alphabet, table[members[b][0]])}
-    return Automaton(alphabet, list(block_names.values()),
-                     [block_names[block_of[start]]],
-                     [name for b, name in block_names.items()
-                      if members[b][0] in accepting], transitions)
+    number = {b: n for n, b in enumerate(members)}
+    ordered = list(members.values())
+    return (ordered, [[number[block_of[t]] for t in table[m[0]]]
+                      for m in ordered], [accepting[m[0]] for m in ordered])
+
+
+def _minimal_table(a: Automaton, max_subsets: int
+                   ) -> tuple[list[list[int]], list[bool]]:
+    """``minimal_dfa(a, max_subsets)``'s rows and acceptance, unnamed."""
+    _subsets, table, accepting = _subset_table(a, max_subsets)
+    return _hopcroft(table, accepting)[1:]
 
 
 def minimize(d: Automaton) -> Automaton:
@@ -235,15 +235,16 @@ def minimize(d: Automaton) -> Automaton:
     """
     _require_complete_dfa(d, "minimize")
     reachable = set(reachable_states(d))
-    # numbered in declaration order, as _quotient requires
+    # numbered in declaration order, which orders and names the blocks
     states = [q for q in d.states if q in reachable]
     number = {q: i for i, q in enumerate(states)}
     table = [[number[t] for sym in d.alphabet for t in d.step(q, sym)]
              for q in states]
-    accepting = {i for i, q in enumerate(states) if q in d.accepting}
+    accepting = [q in d.accepting for q in states]
     (start,) = d.initial
-    return _quotient(d.alphabet, states, table, accepting, number[start],
-                     _hopcroft(table, accepting))
+    members, rows, final = _hopcroft(table, accepting)
+    entry = next(b for b, m in enumerate(members) if number[start] in m)
+    return _named_dfa(d.alphabet, states, entry, members, rows, final)
 
 
 def minimal_dfa(a: Automaton,
@@ -252,8 +253,8 @@ def minimal_dfa(a: Automaton,
     table without the intermediate automaton: the same states, names,
     transitions and ``CapacityError``."""
     subsets, table, accepting = _subset_table(a, max_subsets)
-    return _quotient(a.alphabet, _set_names(a.states, subsets), table,
-                     accepting, 0, _hopcroft(table, accepting))
+    return _named_dfa(a.alphabet, _set_names(a.states, subsets), 0,
+                      *_hopcroft(table, accepting))
 
 
 def bisimulation_quotient(a: Automaton) -> Automaton:
@@ -389,7 +390,7 @@ def shortest_word(starts: Iterable[Node], symbols: Sequence[str],
     return None
 
 
-def _spell(parents: dict, node: Hashable) -> Word:
+def _spell(parents: dict, node: Node) -> Word:
     letters: list[str] = []
     while parents[node] is not None:
         node, symbol = parents[node]

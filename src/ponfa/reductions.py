@@ -160,9 +160,14 @@ def cnf_to_rponfa(formula: CnfFormula) -> Automaton:
         # the state after j bits accepts unless j is the variable count
         chain = sk.node("len", j != n, sk.every(chain))
     starts = sk.every(chain)
+    # free[i]: after bit n - i of a clause on no later variable, made once
+    free = [sk.node("c", True, ())]
     for clause in formula.clauses:
-        path = sk.node("c", True, ())
-        for j in range(n, 0, -1):
+        last = max(map(abs, clause), default=1)
+        while len(free) <= n - last:
+            free.append(sk.node("c", False, sk.every(free[-1])))
+        path = free[n - last]
+        for j in range(last, 0, -1):
             # each bit for variable j, with the literal it makes true
             moves = [(bit, path) for bit, literal in (("0", -j), ("1", j))
                      if literal not in clause]

@@ -18,8 +18,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .core import Automaton, CapacityError, Word, accepts, classify, components
-from .ops import DEFAULT_SUBSET_LIMIT, minimal_dfa, moves, shortest_word
+from .core import (Automaton, CapacityError, Word,
+                   _strongly_connected_components, accepts, classify)
+from .ops import (DEFAULT_SUBSET_LIMIT, _minimal_table, minimal_dfa,
+                  shortest_word)
 from .subseq import SubseqSet, class_search, representative, sub_k
 
 DEFAULT_PATH_LIMIT = 10**6
@@ -62,40 +64,30 @@ class RExpression:
                 raise ValueError(f"letter {letter!r} occurs in its loop set")
 
 
-def _shortest_cycle_through(d: Automaton, anchor: str,
-                            component: frozenset[str]) -> Word:
-    """Shortest word labelling a cycle from ``anchor`` back to itself
-    that leaves the anchor at least once, staying inside ``component``.
-    Nodes are ``(state, has_left_anchor)``."""
-    def successors(node: tuple[str, bool]) -> list[tuple[str, tuple[str, bool]]]:
-        q, left = node
-        return [(sym, (t, left or t != anchor)) for sym, t in moves(d, q)
-                if t in component]
-
-    return shortest_word([(anchor, False)], d.alphabet, successors,
-                         lambda node: node == (anchor, True))
-
-
 def is_r_trivial(a: Automaton) -> TrivialityVerdict:
     """Order-triviality of the language.
 
-    Decided on the minimal deterministic automaton: the language
-    qualifies exactly when that automaton is partially ordered.  On
-    failure the verdict exhibits a state on a proper cycle through two
-    access words, one of which traverses the cycle once; both words are
-    the shortest of their kind, ties broken by alphabet order.
+    Decided on the minimal DFA, as ``ops._minimal_table``'s integer
+    table: the language qualifies exactly when it is partially ordered.
+    On failure the verdict exhibits a state on a proper cycle through
+    two access words, one of which traverses the cycle once; both words
+    are the shortest of their kind, ties broken by alphabet order.
     """
-    minimal = minimal_dfa(a)
-    cyclic = [c for c in components(minimal) if len(c) > 1]
+    rows, _accepting = _minimal_table(a, DEFAULT_SUBSET_LIMIT)
+    cyclic = [c for c in _strongly_connected_components(range(len(rows)), rows)
+              if len(c) > 1]
     if not cyclic:
         return TrivialityVerdict(True)
-    component = frozenset(min(cyclic,
-                              key=lambda c: min(minimal.state_index(q) for q in c)))
-    anchor = min(component, key=minimal.state_index)
+    component = set(min(cyclic, key=min))
+    anchor = min(component)
     # every state of a minimized automaton is reachable
-    access = shortest_word(minimal.initial, minimal.alphabet,
-                           lambda q: moves(minimal, q), lambda q: q == anchor)
-    loop = _shortest_cycle_through(minimal, anchor, component)
+    access = shortest_word([0], a.alphabet, lambda q: zip(a.alphabet, rows[q]),
+                           lambda q: q == anchor)
+    # the loop leaves the anchor and comes back, -1 standing for its
+    # return, inside the component; no self-loop can shorten it
+    loop = shortest_word([anchor], a.alphabet, lambda q: [
+        (sym, -1 if t == anchor else t) for sym, t in zip(a.alphabet, rows[q])
+        if t in component and t != q], lambda q: q < 0)
     return TrivialityVerdict(False, cycle_words=(access, access + loop))
 
 

@@ -92,14 +92,15 @@ def random_nfa(rng):
 
 def test_each_recursive_call_gets_a_smaller_automaton(monkeypatch):
     # why the recursion needs no depth guard: nesting is bounded by the
-    # state count of the minimal DFA
+    # state count of the minimal DFA, a table of one row per state
     recurse = dre._definable
     sizes = []
     checked = 0
 
     def watched(d):
         nonlocal checked
-        size = 0 if d is None else len(d.states)
+        rows = () if d is None else d[0]
+        size = len(rows)
         if sizes:
             assert size < sizes[-1]
             checked += 1
@@ -120,14 +121,17 @@ def test_each_recursive_call_gets_a_smaller_automaton(monkeypatch):
 
 
 def test_ordered_minimal_automaton_builds_no_orbit_language(monkeypatch):
+    # every minimal DFA, the input's and each orbit language's, comes out
+    # of one minimization of a table
     built = []
-    reduce = dre._minimal_trimmed
+    reduce = ops._hopcroft
 
-    def counted(a, *args):
-        built.append(a)
-        return reduce(a, *args)
+    def counted(table, accepting):
+        built.append(table)
+        return reduce(table, accepting)
 
-    monkeypatch.setattr(dre, "_minimal_trimmed", counted)
+    for module in (ops, dre):
+        monkeypatch.setattr(module, "_hopcroft", counted)
     assert is_dre_definable(build_a(4, 4)) is True
     assert len(built) == 1
 
@@ -212,3 +216,25 @@ def test_random_ordered_machines_are_definable():
             continue
         assert is_dre_definable(machine) is True
         checked += 1
+
+
+def test_definable_and_uncut_counts_on_random_automata(caplog):
+    # how many of 600 seeded inputs are definable, and how many reach a
+    # strongly connected automaton that survives its cut: a change to
+    # the recursion's order or to the cut moves one of the two
+    rng = random.Random(2026)
+    definable = 0
+    with caplog.at_level(logging.WARNING, logger="ponfa.dre"):
+        for _ in range(600):
+            n_states = rng.randint(2, 7)
+            alphabet = ("a", "b", "c")[:rng.randint(1, 3)]
+            states = [f"s{i}" for i in range(n_states)]
+            machine = Automaton(
+                alphabet, states, rng.sample(states, rng.randint(1, 2)),
+                rng.sample(states, rng.randint(0, n_states)),
+                {(q, symbol): rng.sample(states, rng.randint(0, 2))
+                 for q in states for symbol in alphabet})
+            definable += is_dre_definable(machine)
+    uncut = [record for record in caplog.records
+             if "survives its cut" in record.getMessage()]
+    assert (definable, len(uncut)) == (443, 114)

@@ -5,7 +5,8 @@ import random
 
 import pytest
 
-from ponfa.core import Automaton, accepts, classify, depth
+from ponfa import triviality
+from ponfa.core import Automaton, CapacityError, accepts, classify, depth
 from ponfa.decision import equivalent
 from ponfa.extremal import build_a, build_w
 from ponfa.ops import determinize, minimize
@@ -227,6 +228,21 @@ def test_union_form_of_a_long_chain():
     (branch,) = rponfa_to_r_expressions(chain)
     assert branch.letters == ("a",) * 2999
     assert all(loop == frozenset() for loop in branch.loops)
+
+
+def test_union_form_path_budget(monkeypatch):
+    # one letter to k accepting states makes k accepting paths, all one
+    # branch; the budget admits exactly DEFAULT_PATH_LIMIT of them
+    monkeypatch.setattr(triviality, "DEFAULT_PATH_LIMIT", 3)
+
+    def fan(k):
+        ends = [f"e{i}" for i in range(k)]
+        return Automaton(("a",), ["s", *ends], ["s"], ends,
+                         {("s", "a"): ends})
+
+    assert len(rponfa_to_r_expressions(fan(3))) == 1
+    with pytest.raises(CapacityError):
+        rponfa_to_r_expressions(fan(4))
 
 
 def test_union_form_rejects_unordered_input():

@@ -1,0 +1,136 @@
+"""Seeded mutation check for the ponfa sources.
+
+    python3 tools/mutants.py --seed 0 --workdir /tmp/ponfa-mutants \\
+        src/ponfa/dre.py src/ponfa/triviality.py
+
+Copies the checkout, without its git directory and caches, into
+``--workdir`` (which must not exist yet) and mutates only that copy.
+From each named module it samples ``SITES`` mutation sites with
+``random.Random(seed)`` and makes one mutant per site, with one of:
+
+* a comparison swapped (``==``/``!=``, ``<``/``<=``, ``>``/``>=``,
+  ``in``/``not in``, ``is``/``is not``);
+* a ``not`` dropped;
+* ``and`` and ``or`` swapped.
+
+Each mutant runs the tier-1 tests of the copy, stopping at the first
+failure, and prints one line: ``killed`` or ``survived``, the file and
+line of the original source, and the mutation.  A mutant whose tests
+run past ``TIMEOUT_S`` seconds counts as killed.  The script is a tool,
+not a gate: its exit status is 0 whatever survives.  It needs only the
+standard library and pytest.
+"""
+
+from __future__ import annotations
+
+import argparse
+import ast
+import os
+import random
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SITES = 20
+# tier-1 takes under 20 s; a mutant that stops a search from ending
+# must not hang the run
+TIMEOUT_S = 300
+
+SWAPS = {ast.Eq: ast.NotEq, ast.NotEq: ast.Eq, ast.Lt: ast.LtE,
+         ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt,
+         ast.In: ast.NotIn, ast.NotIn: ast.In, ast.Is: ast.IsNot,
+         ast.IsNot: ast.Is, ast.And: ast.Or, ast.Or: ast.And}
+
+SYMBOLS = {ast.Eq: "==", ast.NotEq: "!=", ast.Lt: "<", ast.LtE: "<=",
+           ast.Gt: ">", ast.GtE: ">=", ast.In: "in", ast.NotIn: "not in",
+           ast.Is: "is", ast.IsNot: "is not", ast.And: "and", ast.Or: "or"}
+
+
+def sites(tree: ast.Module) -> list[tuple[int, int, int, str]]:
+    """Every mutation site as ``(line, node number in walk order,
+    operand number, description)``; walk order is fixed for a given
+    source."""
+    def swap(op: ast.AST) -> str:
+        return f"{SYMBOLS[type(op)]!r} -> {SYMBOLS[SWAPS[type(op)]]!r}"
+
+    found = []
+    for number, node in enumerate(ast.walk(tree)):
+        if isinstance(node, ast.Compare):
+            for i, op in enumerate(node.ops):
+                found.append((node.lineno, number, i, swap(op)))
+        elif isinstance(node, ast.BoolOp):
+            found.append((node.lineno, number, 0, swap(node.op)))
+        elif isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.Not):
+            found.append((node.lineno, number, 0, "'not' dropped"))
+    return found
+
+
+def mutate(tree: ast.Module, target: int, operand: int) -> None:
+    """Apply in place the mutation at node ``target`` of ``sites(tree)``,
+    on its ``operand``-th comparison."""
+    nodes = list(ast.walk(tree))
+    node = nodes[target]
+    if isinstance(node, ast.Compare):
+        node.ops[operand] = SWAPS[type(node.ops[operand])]()
+    elif isinstance(node, ast.BoolOp):
+        node.op = SWAPS[type(node.op)]()
+    else:   # a `not`: its operand takes its place
+        for parent in nodes:
+            for field, value in ast.iter_fields(parent):
+                if value is node:
+                    setattr(parent, field, node.operand)
+                elif isinstance(value, list) and node in value:
+                    value[value.index(node)] = node.operand
+
+
+def run_tests(copy: Path) -> bool:
+    """True when the tier-1 tests of the copy pass."""
+    env = dict(os.environ, PYTHONPATH=str(copy / "src"),
+               PYTHONDONTWRITEBYTECODE="1")
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-x", "-W", "error",
+             "-p", "no:cacheprovider", "tests"],
+            cwd=copy, env=env, stdout=subprocess.DEVNULL,
+            stderr=subprocess.DEVNULL, timeout=TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        return False
+    return done.returncode == 0
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("modules", nargs="+",
+                        help="source files, relative to the checkout")
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--workdir", type=Path, required=True,
+                        help="scratch directory for the copy; must not exist")
+    args = parser.parse_args(argv)
+    copy = args.workdir
+    # the tests read files beside them, such as the README
+    shutil.copytree(ROOT, copy, ignore=shutil.ignore_patterns(
+        ".git", "__pycache__", ".pytest_cache"))
+    if not run_tests(copy):
+        sys.exit("error: the unmutated copy fails its tests")
+    rng = random.Random(args.seed)
+    for module in args.modules:
+        path = copy / module
+        source = path.read_text(encoding="utf-8")
+        found = sites(ast.parse(source))
+        for line, target, operand, what in sorted(
+                rng.sample(found, min(SITES, len(found)))):
+            tree = ast.parse(source)
+            mutate(tree, target, operand)
+            path.write_text(ast.unparse(tree), encoding="utf-8")
+            try:
+                verdict = "survived" if run_tests(copy) else "killed"
+            finally:
+                path.write_text(source, encoding="utf-8")
+            print(f"{verdict:8} {module}:{line}  {what}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
