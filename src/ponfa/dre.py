@@ -31,7 +31,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .core import Automaton, _strongly_connected_components
-from .ops import DEFAULT_SUBSET_LIMIT, _explore, _hopcroft, _minimal_table
+from .ops import (DEFAULT_SUBSET_LIMIT, _explore, _hopcroft, _minimal_table,
+                  _read)
 
 logger = logging.getLogger(__name__)
 
@@ -54,35 +55,32 @@ class OrbitDecomposition:
         raise KeyError(state)
 
 
-def _read(d: Automaton) -> tuple[Table, list[bool]]:
-    """A deterministic automaton as successor rows over its state
-    indices, with None for a missing move, and acceptance flags."""
+def _table(d: Automaton) -> tuple[Table, list[bool]]:
+    """A deterministic automaton's ``ops._read`` rows and acceptance."""
     # checked here, not through classify, which would add a second
     # component pass
     if len(d.initial) != 1 or any(len(t) > 1 for t in d.transitions.values()):
         raise ValueError("orbit analysis requires a deterministic automaton")
-    rows: Table = [[None] * len(d.alphabet) for _ in d.states]
-    for (q, symbol), (t,) in d.transitions.items():
-        rows[d.state_index(q)][d.symbol_index(symbol)] = d.state_index(t)
-    return rows, [q in d.accepting for q in d.states]
+    return _read(d)[:2]
 
 
-def _orbits(rows: Table, accepting: list[bool]
-            ) -> list[tuple[list[int], list[int], bool]]:
-    """Each orbit of a table, in ``core.components`` order, with its
-    gates, both in state order, and whether the gates agree: the same
-    acceptance and, on each symbol, the same move out of the orbit."""
-    out = []
-    for component in _strongly_connected_components(range(len(rows)), [
-            [t for t in row if t is not None] for row in rows]):
-        orbit = sorted(component)
-        members = set(orbit)
-        gates = [q for q in orbit if accepting[q] or any(
-            t is not None and t not in members for t in rows[q])]
-        faces = {(accepting[q], tuple(t if t not in members else None
-                                      for t in rows[q])) for q in gates}
-        out.append((orbit, gates, len(faces) <= 1))
-    return out
+def _orbits(rows: Table) -> list[list[int]]:
+    """The orbits of a table, in ``core.components`` order, each in
+    state order."""
+    return [sorted(component) for component in _strongly_connected_components(
+        range(len(rows)), [[t for t in row if t is not None] for row in rows])]
+
+
+def _gates(rows: Table, accepting: list[bool], orbit: list[int]
+           ) -> tuple[list[int], bool]:
+    """An orbit's gates, in state order, and whether they agree: the
+    same acceptance and, on each symbol, the same move out of the orbit."""
+    members = set(orbit)
+    gates = [q for q in orbit if accepting[q] or any(
+        t is not None and t not in members for t in rows[q])]
+    faces = {(accepting[q], tuple(t if t not in members else None
+                                  for t in rows[q])) for q in gates}
+    return gates, len(faces) <= 1
 
 
 def orbits(d: Automaton) -> OrbitDecomposition:
@@ -90,16 +88,19 @@ def orbits(d: Automaton) -> OrbitDecomposition:
     only a self-loop is its own orbit; so is a state with no cycle at
     all, the two differing only in their orbit language."""
     name = d.states.__getitem__
-    decomposition = _orbits(*_read(d))
+    rows, accepting = _table(d)
+    found = _orbits(rows)
     return OrbitDecomposition(
-        tuple(frozenset(map(name, orbit)) for orbit, _, _ in decomposition),
-        tuple(frozenset(map(name, gates)) for _, gates, _ in decomposition))
+        tuple(frozenset(map(name, orbit)) for orbit in found),
+        tuple(frozenset(map(name, _gates(rows, accepting, orbit)[0]))
+              for orbit in found))
 
 
 def has_orbit_property(d: Automaton) -> bool:
     """True when, in every orbit, all gates agree: same acceptance
     status, and on each symbol the same targets outside the orbit."""
-    return all(agree for _orbit, _gates, agree in _orbits(*_read(d)))
+    rows, accepting = _table(d)
+    return all(_gates(rows, accepting, orbit)[1] for orbit in _orbits(rows))
 
 
 def _trim(rows: Table, accepting: list[bool]
@@ -141,8 +142,8 @@ def _definable(d: tuple[Table, list[bool]] | None) -> bool:
     if d is None or len(d[0]) <= 1:
         return True
     rows, accepting = d
-    decomposition = _orbits(rows, accepting)
-    if len(decomposition) == 1:
+    found = _orbits(rows)
+    if len(found) == 1:
         # the whole automaton is one strongly connected component, whose
         # gates, its accepting states, agree; cut the symbols on which
         # every accepting state moves to one shared target, to break it
@@ -151,15 +152,16 @@ def _definable(d: tuple[Table, list[bool]] | None) -> bool:
                and rows[final[0]][s] is not None for s in range(len(rows[0]))]
         rows = [[None if accepts and cut[s] else t for s, t in enumerate(row)]
                 for row, accepts in zip(rows, accepting)]
-        decomposition = _orbits(rows, accepting)
-        if len(decomposition) == 1:
+        found = _orbits(rows)
+        if len(found) == 1:
             logger.warning(
                 "strongly connected automaton with %d states survives its "
                 "cut; deciding not definable", len(rows))
             return False
-    if not all(agree for _orbit, _gates, agree in decomposition):
+    faces = [_gates(rows, accepting, orbit) for orbit in found]
+    if not all(agree for _, agree in faces):
         return False
-    for orbit, gates, _agree in decomposition:
+    for orbit, (gates, _agree) in zip(found, faces):
         # the orbit language of a single state has a minimal DFA of at
         # most one state, which is always definable
         if len(orbit) == 1:

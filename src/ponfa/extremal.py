@@ -18,7 +18,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .core import Automaton, CapacityError, Word, accepts
-from .ops import complement, count_language_size, determinize, is_empty, minimize
+from .ops import (DEFAULT_SUBSET_LIMIT, INFINITE, _count_words, _hopcroft,
+                  _subset_table, shortest_word)
 
 DEFAULT_WORD_LIMIT = 10**7
 
@@ -136,22 +137,25 @@ def verify_extremal(k: int, n: int, do_minimize: bool = False) -> ExtremalReport
     Checks the state count, that the word is rejected, that the
     rejected language has exactly one member, and that this member is
     the word.  With ``do_minimize`` the minimal deterministic size is
-    measured as well; for k == n it must reach C(2n, n).
+    measured as well; for k == n it must reach C(2n, n).  The count,
+    the witness and that size are read off one unnamed subset table.
     """
     # the word's length cap raises before the automaton is built
     word = build_w(k, n)
     automaton = build_a(k, n)
     state_count = len(automaton.states)
-    dfa = determinize(automaton)
-    rejected = complement(dfa)
-    count = count_language_size(rejected)
-    rejected_count = int(count) if count != float("inf") else -1
-    witness = is_empty(rejected).witness
+    alphabet = automaton.alphabet
+    _subsets, table, accepting = _subset_table(automaton, DEFAULT_SUBSET_LIMIT)
+    rejecting = [not final for final in accepting]
+    count = _count_words(table, rejecting, 0)
+    rejected_count = int(count) if count != INFINITE else -1
+    witness = shortest_word([0], alphabet, lambda i: zip(alphabet, table[i]),
+                            rejecting.__getitem__)
     matches = (witness == word) and not accepts(automaton, word)
     min_states = None
     bound = None
     if do_minimize:
-        min_states = len(minimize(dfa).states)
+        min_states = len(_hopcroft(table, accepting)[0])
         if k == n:
             bound = math.comb(2 * n, n)
     return ExtremalReport(k, n, state_count, n * (k + 2), rejected_count,

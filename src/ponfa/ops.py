@@ -2,17 +2,15 @@
 and the two graph searches they rest on.
 
 ``_explore`` walks the whole reachable part of a graph breadth first;
-reachability, co-reachability, the subset construction and the product
-read it.  ``shortest_word`` searches for a goal node and stops at the
-first one; it gives every witness.  Witness words returned by the
-emptiness test are always the shortest accepted word, with ties broken
-lexicographically by alphabet order.
+the subset construction, minimization and the product read it.
+``shortest_word`` searches for a goal node and stops at the first one;
+it gives every witness: the shortest word, ties broken by alphabet order.
 
-Determinization and minimization work on integer tables: subsets are
-frozensets of state indices, and one Hopcroft core turns a table of
-successor numbers into the minimal DFA's.  ``minimal_dfa`` names the
-subset table's; ``_minimal_table`` hands it unnamed to R-triviality
-and DRE definability.  Neither builds the intermediate DFA.
+DFA questions are answered on integer tables of successor numbers,
+read from a named DFA by ``_read`` or built by the subset construction.
+One Hopcroft core minimizes a table, ``_count_words`` counts its words,
+and ``_named_dfa`` names it on the way out; ``_minimal_table`` hands the
+minimal DFA's table unnamed to R-triviality and DRE definability.
 ``bisimulation_quotient`` merges the bisimilar states of a partially
 ordered automaton in one pass; universality searches the quotient.
 """
@@ -62,28 +60,16 @@ def _explore(starts: Iterable[Node],
     return graph
 
 
-def reachable_states(a: Automaton) -> list[str]:
-    """States reachable from an initial state, in breadth-first order."""
-    return list(_explore(sorted(a.initial, key=a.state_index),
-                         lambda q: moves(a, q)))
-
-
-def co_reachable_states(a: Automaton) -> set[str]:
-    """States from which an accepting state can be reached."""
-    inverse: dict[str, list[tuple[str, str]]] = {q: [] for q in a.states}
-    for (source, symbol), targets in a.transitions.items():
-        for target in targets:
-            inverse[target].append((symbol, source))
-    return set(_explore(a.accepting, inverse.__getitem__))
-
-
-def _set_names(states: Sequence[str],
-               sets: Iterable[Iterable[int]]) -> list[str]:
-    """One name per set of state indices, such as ``{q0,q2}``, with the
-    members in index order and the names made unique by ``_claim``."""
-    taken: set[str] = set()
-    return [_claim("{" + ",".join([states[i] for i in sorted(members)]) + "}",
-                   taken) for members in sets]
+def _read(d: Automaton) -> tuple[list[list[Optional[int]]], list[bool], int]:
+    """A deterministic automaton as successor rows over its state
+    indices, None for a missing move, its acceptance flags and the
+    index of its initial state."""
+    rows: list[list[Optional[int]]] = [[None] * len(d.alphabet)
+                                       for _ in d.states]
+    for (q, symbol), (t,) in d.transitions.items():
+        rows[d.state_index(q)][d.symbol_index(symbol)] = d.state_index(t)
+    (start,) = d.initial
+    return rows, [q in d.accepting for q in d.states], d.state_index(start)
 
 
 def _subset_table(a: Automaton, max_subsets: int) -> tuple[
@@ -134,8 +120,11 @@ def _named_dfa(alphabet: Sequence[str], names: Sequence[str], start: int,
                members: Sequence[Iterable[int]], rows: list[list[int]],
                accepting: list[bool]) -> Automaton:
     """The complete DFA of a table whose state ``i`` is named after its
-    members ``members[i]``, indices into ``names``, by ``_set_names``."""
-    state_names = _set_names(names, members)
+    members ``members[i]``, indices into ``names``, such as ``{q0,q2}``:
+    in index order, made unique by ``_claim``."""
+    taken: set[str] = set()
+    state_names = [_claim("{" + ",".join([names[i] for i in sorted(m)]) + "}",
+                          taken) for m in members]
     # one frozenset per target state, not one per move
     targets = [frozenset((name,)) for name in state_names]
     transitions = {(name, sym): targets[t]
@@ -220,7 +209,8 @@ def _hopcroft(table: list[list[int]], accepting: list[bool]
 
 def _minimal_table(a: Automaton, max_subsets: int
                    ) -> tuple[list[list[int]], list[bool]]:
-    """``minimal_dfa(a, max_subsets)``'s rows and acceptance, unnamed."""
+    """The rows and acceptance of ``minimize(determinize(a,
+    max_subsets))``, built from the subset table and never named."""
     _subsets, table, accepting = _subset_table(a, max_subsets)
     return _hopcroft(table, accepting)[1:]
 
@@ -229,32 +219,21 @@ def minimize(d: Automaton) -> Automaton:
     """Minimal complete DFA for the language of ``d``.
 
     Unreachable states are discarded, then states are merged by the
-    Hopcroft core that ``minimal_dfa`` also runs, over ``d`` read into
-    an integer successor table.  The state count of the result equals
-    the number of distinguishable residual languages.
+    Hopcroft core, over ``d`` read into an integer successor table.
+    The state count of the result equals the number of distinguishable
+    residual languages.
     """
     _require_complete_dfa(d, "minimize")
-    reachable = set(reachable_states(d))
+    rows, accepting, start = _read(d)
     # numbered in declaration order, which orders and names the blocks
-    states = [q for q in d.states if q in reachable]
+    states = sorted(_explore([start], lambda q: list(enumerate(rows[q]))))
     number = {q: i for i, q in enumerate(states)}
-    table = [[number[t] for sym in d.alphabet for t in d.step(q, sym)]
-             for q in states]
-    accepting = [q in d.accepting for q in states]
-    (start,) = d.initial
-    members, rows, final = _hopcroft(table, accepting)
+    members, table, final = _hopcroft(
+        [[number[t] for t in rows[q]] for q in states],
+        [accepting[q] for q in states])
     entry = next(b for b, m in enumerate(members) if number[start] in m)
-    return _named_dfa(d.alphabet, states, entry, members, rows, final)
-
-
-def minimal_dfa(a: Automaton,
-                max_subsets: int = DEFAULT_SUBSET_LIMIT) -> Automaton:
-    """``minimize(determinize(a, max_subsets))``, built from the subset
-    table without the intermediate automaton: the same states, names,
-    transitions and ``CapacityError``."""
-    subsets, table, accepting = _subset_table(a, max_subsets)
-    return _named_dfa(a.alphabet, _set_names(a.states, subsets), 0,
-                      *_hopcroft(table, accepting))
+    return _named_dfa(d.alphabet, [d.states[q] for q in states], entry,
+                      members, table, final)
 
 
 def bisimulation_quotient(a: Automaton) -> Automaton:
@@ -398,45 +377,38 @@ def _spell(parents: dict, node: Node) -> Word:
     return tuple(reversed(letters))
 
 
-def moves(a: Automaton, q: str) -> list[tuple[str, str]]:
-    """The ``(symbol, target)`` pairs leaving a state, in alphabet order
-    and, per symbol, in no particular order."""
-    return [(sym, t) for sym in a.alphabet for t in a.step(q, sym)]
-
-
 def is_empty(a: Automaton) -> Decision:
     """Emptiness test.
 
     ``holds`` means the language is empty.  Otherwise the witness is
     the shortest accepted word, ties broken by alphabet order.
     """
-    word = shortest_word(a.initial, a.alphabet, lambda q: moves(a, q),
-                         lambda q: q in a.accepting)
+    word = shortest_word(a.initial, a.alphabet, lambda q: [
+        (sym, t) for sym in a.alphabet for t in a.step(q, sym)],
+        lambda q: q in a.accepting)
     return Decision(True, None) if word is None else Decision(False, word)
 
 
 def count_language_size(d: Automaton) -> LanguageSize:
-    """Number of accepted words, or ``INFINITE``.
-
-    Requires a complete deterministic input.  The language is infinite
-    exactly when a cycle lies on some path from the initial state to an
-    accepting state; otherwise accepted words correspond one-to-one to
-    paths through the useful part, which is a DAG.  Its components come
-    in reverse topological order, so a state's count is summed from
-    targets already counted.
-    """
+    """Number of accepted words, or ``INFINITE``; requires a complete
+    deterministic input, which ``_count_words`` counts as a table."""
     _require_complete_dfa(d, "count_language_size")
-    (start,) = d.initial
-    useful = set(reachable_states(d)) & co_reachable_states(d)
-    if start not in useful:
-        return 0
-    # one edge per symbol: two symbols to one target are two words
-    edges = {q: [t for sym in d.alphabet for t in d.step(q, sym)
-                 if t in useful] for q in useful}
-    counts: dict[str, int] = {}
-    for component in _strongly_connected_components([start], edges):
+    return _count_words(*_read(d))
+
+
+def _count_words(rows: list[list[int]], final: list[bool],
+                 start: int) -> LanguageSize:
+    """Number of words a complete DFA's table accepts from ``start``,
+    or ``INFINITE``.  One component pass from ``start`` yields targets
+    first, so a state counts its acceptance plus its targets' counts,
+    one per move.  A component with a cycle (two or more states, or a
+    self-loop) is infinite when it reaches acceptance, else 0."""
+    counts = [0] * len(rows)   # still 0 in the component being summed
+    for component in _strongly_connected_components([start], rows):
         q = component[0]
-        if len(component) > 1 or q in edges[q]:
+        count = sum(final[p] + sum(counts[t] for t in rows[p])
+                    for p in component)
+        if count and (len(component) > 1 or q in rows[q]):
             return INFINITE
-        counts[q] = (q in d.accepting) + sum(counts[t] for t in edges[q])
+        counts[q] = count
     return counts[start]

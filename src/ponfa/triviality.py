@@ -20,8 +20,8 @@ from typing import Optional, Sequence
 
 from .core import (Automaton, CapacityError, Word,
                    _strongly_connected_components, accepts, classify)
-from .ops import (DEFAULT_SUBSET_LIMIT, _minimal_table, minimal_dfa,
-                  shortest_word)
+from .ops import (DEFAULT_SUBSET_LIMIT, _minimal_table, determinize,
+                  minimize, shortest_word)
 from .subseq import SubseqSet, class_search, representative, sub_k
 
 DEFAULT_PATH_LIMIT = 10**6
@@ -133,7 +133,7 @@ def is_k_r_trivial_oracle(a: Automaton, k: int) -> TrivialityVerdict:
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
-    minimal = minimal_dfa(a)
+    minimal = minimize(determinize(a))
     (start_state,) = minimal.initial
     empty = sub_k((), k)
     start = ((empty,), start_state)

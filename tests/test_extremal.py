@@ -8,8 +8,10 @@ import pytest
 
 from ponfa.cli import main
 from ponfa.core import (AutomatonKind, CapacityError, accepts, classify)
-from ponfa.extremal import build_a, build_w, verify_extremal
-from ponfa.ops import INFINITE, complement, count_language_size, determinize
+from ponfa import extremal
+from ponfa.extremal import ExtremalReport, build_a, build_w, verify_extremal
+from ponfa.ops import (INFINITE, complement, count_language_size, determinize,
+                       is_empty, minimize)
 from ponfa.subseq import is_minimal_representative, max_representative_length
 
 
@@ -45,11 +47,17 @@ def test_word_is_a_longest_minimal_representative():
             assert len(word) == max_representative_length(k, n)
 
 
-def test_word_size_cap():
+def test_word_size_cap(monkeypatch):
     with pytest.raises(CapacityError):
         build_w(30, 30)
     with pytest.raises(ValueError):
         build_w(-1, 2)
+    # a word of exactly the limit's length is built
+    monkeypatch.setattr(extremal, "DEFAULT_WORD_LIMIT", 5)
+    assert len(build_w(2, 2)) == 5
+    with pytest.raises(CapacityError, match="word of length 9 exceeds "
+                       "the limit of 5"):
+        build_w(3, 2)
 
 
 def test_automaton_shape():
@@ -83,12 +91,42 @@ def test_exactly_one_word_is_rejected():
                 assert accepts(a, candidate) == (candidate != word)
 
 
-def test_verify_extremal_reports():
+def test_verify_extremal_reports(monkeypatch):
     report = verify_extremal(2, 2)
     assert report.state_count == 8 == report.expected_states
     assert report.rejected_count == 1
     assert report.rejected_word_matches
     assert report.min_dfa_states is None and report.min_dfa_bound is None
+    # the word must also be rejected by the automaton itself, not only
+    # be the witness read off its subset table
+    monkeypatch.setattr(extremal, "accepts", lambda a, word: True)
+    assert not verify_extremal(2, 2).rejected_word_matches
+
+
+def named_report(k, n, do_minimize):
+    """``verify_extremal`` through named automata: the DFA, its
+    complement, that complement's count and emptiness witness, and the
+    minimized DFA."""
+    word = build_w(k, n)
+    automaton = build_a(k, n)
+    dfa = determinize(automaton)
+    rejected = complement(dfa)
+    count = count_language_size(rejected)
+    witness = is_empty(rejected).witness
+    return ExtremalReport(
+        k, n, len(automaton.states), n * (k + 2),
+        int(count) if count != INFINITE else -1,
+        witness == word and not accepts(automaton, word),
+        len(minimize(dfa).states) if do_minimize else None,
+        math.comb(2 * n, n) if do_minimize and k == n else None)
+
+
+def test_verify_extremal_equals_the_named_route():
+    pairs = [(k, n) for k in range(1, 8) for n in range(1, 9 - k)]
+    for k, n in pairs + [(5, 5), (4, 5), (5, 4)]:
+        for do_minimize in (False, True):
+            assert (verify_extremal(k, n, do_minimize)
+                    == named_report(k, n, do_minimize)), (k, n, do_minimize)
 
 
 def test_verify_extremal_families():

@@ -8,10 +8,10 @@ import pytest
 from ponfa.core import (Automaton, CapacityError, accepts, classify,
                         serialize_automaton)
 from ponfa.decision import _includes_generic, is_universal
-from ponfa.ops import (DEFAULT_SUBSET_LIMIT, INFINITE, bisimulation_quotient,
-                       co_reachable_states, complement, count_language_size,
-                       determinize, is_empty, minimal_dfa, minimize,
-                       product_intersection, reachable_states)
+from ponfa.ops import (DEFAULT_SUBSET_LIMIT, INFINITE, _explore,
+                       _minimal_table, _read, bisimulation_quotient,
+                       complement, count_language_size, determinize, is_empty,
+                       minimize, product_intersection)
 
 
 def contains_a1():
@@ -172,18 +172,26 @@ def test_minimize_matches_pairwise_distinguishability():
     assert pruned >= 150 and merged >= 50
 
 
-def test_minimal_dfa_equals_minimize_of_determinize():
+def test_minimal_table_equals_minimize_of_determinize():
     # names with commas make generated names collide, and the initial
     # set is empty about a third of the time
     pool = ["p", "q", "p,q", "r", "q,r", "p,q,r", "p,r"]
     rng = random.Random(29)
     primed = capped = 0
 
-    def outcome(build, *args):
+    def unnamed(a, cap):
         try:
-            return serialize_automaton(build(*args))
+            return _minimal_table(a, cap)
         except CapacityError as error:
             return str(error)
+
+    def read_back(a, cap):
+        try:
+            rows, accepting, start = _read(minimize(determinize(a, cap)))
+        except CapacityError as error:
+            return str(error)
+        assert start == 0
+        return rows, accepting
 
     for trial in range(500):
         n = rng.randint(1, 7)
@@ -194,13 +202,13 @@ def test_minimal_dfa_equals_minimize_of_determinize():
         a = Automaton(alphabet, states,
                       rng.sample(states, rng.randint(0, min(n, 2))),
                       rng.sample(states, rng.randint(0, n)), transitions)
-        text = outcome(minimal_dfa, a)
-        assert text == outcome(lambda: minimize(determinize(a))), trial
-        primed += "'" in text
+        assert (unnamed(a, DEFAULT_SUBSET_LIMIT)
+                == read_back(a, DEFAULT_SUBSET_LIMIT)), trial
+        primed += "'" in serialize_automaton(minimize(determinize(a)))
         for cap in (1, 2, 3, 5):
-            expected = outcome(lambda: minimize(determinize(a, cap)))
-            assert outcome(minimal_dfa, a, cap) == expected, (trial, cap)
-            capped += expected.startswith("subset construction exceeded")
+            expected = read_back(a, cap)
+            assert unnamed(a, cap) == expected, (trial, cap)
+            capped += str(expected).startswith("subset construction exceeded")
     assert primed >= 20 and capped >= 500
 
 
@@ -314,6 +322,27 @@ def test_count_language_size():
         count_language_size(Automaton(("a",), ("p",), ["p"], [], {}))
 
 
+def test_count_language_size_reads_a_cycle_by_what_it_reaches():
+    # p accepts and moves to the cycle q <-> r on a, to s on b; s
+    # accepts and moves to the dead state d
+    def dfa(r_accepts, r_exit):
+        return Automaton(
+            ("a", "b"), ("p", "q", "r", "s", "d"), ["p"],
+            ["p", "s"] + ["r"] * r_accepts,
+            {("p", "a"): ["q"], ("p", "b"): ["s"],
+             ("q", "a"): ["r"], ("q", "b"): ["r"],
+             ("r", "a"): ["q"], ("r", "b"): [r_exit],
+             ("s", "a"): ["d"], ("s", "b"): ["d"],
+             ("d", "a"): ["d"], ("d", "b"): ["d"]})
+
+    # a reachable cycle that cannot accept adds no word: "" and "b"
+    assert count_language_size(dfa(False, "q")) == 2
+    assert count_language_size(dfa(False, "d")) == 2
+    # one that accepts, itself or through a target counted before it
+    assert count_language_size(dfa(True, "q")) == INFINITE
+    assert count_language_size(dfa(False, "s")) == INFINITE
+
+
 def random_dfa(rng, n_states, alphabet, forward_only):
     """Complete DFA; with ``forward_only`` every move goes to a later
     state or, from the last state, back to itself, and the last state
@@ -389,7 +418,6 @@ def test_reachability_walks_match_a_naive_fixpoint():
                       rng.sample(states, rng.randint(0, min(n, 2))),
                       rng.sample(states, rng.randint(0, n)), transitions)
         distance = {q: 0 for q in a.initial}
-        backward = set(a.accepting)
         changed = True
         while changed:
             changed = False
@@ -399,14 +427,12 @@ def test_reachability_walks_match_a_naive_fixpoint():
                     if step < distance.get(t, INFINITE):
                         distance[t] = step
                         changed = True
-                    if t in backward and q not in backward:
-                        backward.add(q)
-                        changed = True
-        order = reachable_states(a)
+        # the breadth-first order by which every table numbers its states
+        order = list(_explore(sorted(a.initial, key=a.state_index), lambda q: [
+            (sym, t) for sym in a.alphabet for t in a.step(q, sym)]))
         assert len(order) == len(set(order)) and set(order) == set(distance)
         assert [distance[q] for q in order] == sorted(distance.values())
         assert order[:len(a.initial)] == sorted(a.initial, key=a.state_index)
-        assert co_reachable_states(a) == backward
 
 
 def random_ponfa(rng, n_states, alphabet):
