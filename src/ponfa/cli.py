@@ -81,9 +81,10 @@ def _cmd_decide(args) -> dict:
 def _cmd_rtrivial(args) -> dict:
     automaton = _load_automaton(args.automaton)
     if args.k is None:
-        verdict = is_r_trivial(automaton)
+        verdict = is_r_trivial(automaton, max_subsets=args.max_subsets)
     else:
-        verdict = is_k_r_trivial(automaton, args.k)
+        verdict = is_k_r_trivial(automaton, args.k,
+                                 max_subsets=args.max_subsets)
     payload = {"result": verdict.holds}
     if verdict.k_used is not None:
         payload["k"] = verdict.k_used
@@ -158,8 +159,9 @@ def _positive_int(text: str) -> int:
 def _add_max_subsets(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--max-subsets", type=_positive_int,
                         default=DEFAULT_SUBSET_LIMIT,
-                        help="cap on stored subset-construction nodes, "
-                        "also on the search of a quotient")
+                        help="cap on the nodes a search or subset "
+                        "construction stores, also on the search of a "
+                        "quotient")
 
 
 def _add_decision_flags(parser: argparse.ArgumentParser) -> None:
@@ -205,6 +207,7 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="decide instead whether the language is a union of "
                           "prefix-k classes for some k in 0..K, reporting "
                           "the least such k")
+    _add_max_subsets(sub)
     sub.set_defaults(handler=_cmd_rtrivial)
 
     sub = commands.add_parser("gen-w", help="print the extremal word")

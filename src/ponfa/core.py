@@ -255,54 +255,56 @@ def accepts(a: Automaton, word: Iterable[str]) -> bool:
 
 
 def _strongly_connected_components(
-        vertices: Iterable[Node],
-        edges: Mapping[Node, list[Node]] | Sequence[list[Node]]
-        ) -> list[list[Node]]:
-    """Iterative Tarjan; components come out in reverse topological
-    order, the same with or without self-loops and repeated edges."""
-    index: dict[Node, int] = {}
-    low: dict[Node, int] = {}
-    on_stack: set[Node] = set()
-    stack: list[Node] = []
-    components: list[list[Node]] = []
+        vertices: Iterable[int], edges: Sequence[Sequence[int]]
+        ) -> list[list[int]]:
+    """Iterative Tarjan over the integer graph whose vertex ``v`` has the
+    successors ``edges[v]``, with its roots taken from ``vertices``.
+    Components come out in reverse topological order, the same with or
+    without self-loops and repeated edges."""
+    index = [-1] * len(edges)
+    low = [0] * len(edges)
+    on_stack = [False] * len(edges)
+    stack: list[int] = []
+    components: list[list[int]] = []
     counter = 0
     for root in vertices:
-        if root in index:
+        if index[root] >= 0:
             continue
-        work: list[tuple[Node, int]] = [(root, 0)]
+        work: list[tuple[int, int]] = [(root, 0)]
         while work:
             v, ei = work.pop()
             if ei == 0:
                 index[v] = low[v] = counter
                 counter += 1
                 stack.append(v)
-                on_stack.add(v)
+                on_stack[v] = True
             advanced = False
             targets = edges[v]
             while ei < len(targets):
                 w = targets[ei]
                 ei += 1
-                if w not in index:
+                if index[w] < 0:
                     work.append((v, ei))
                     work.append((w, 0))
                     advanced = True
                     break
-                if w in on_stack:
-                    low[v] = min(low[v], index[w])
+                if on_stack[w] and index[w] < low[v]:
+                    low[v] = index[w]
             if advanced:
                 continue
             if low[v] == index[v]:
                 component = []
                 while True:
                     w = stack.pop()
-                    on_stack.discard(w)
+                    on_stack[w] = False
                     component.append(w)
                     if w == v:
                         break
                 components.append(component)
             if work:
                 parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
+                if low[v] < low[parent]:
+                    low[parent] = low[v]
     return components
 
 
@@ -310,22 +312,29 @@ def components(a: Automaton) -> list[list[str]]:
     """Strongly connected components of the transition graph without
     its self-loops, in reverse topological order.  The search takes
     roots in state order and each state's successors in alphabet order,
-    so the components come out in a fixed order.  A state on no cycle
-    but its self-loops is a component of its own."""
+    and each cell's targets in state order, so the components come out
+    in a fixed order.  A state on no cycle but its self-loops is a
+    component of its own."""
+    index = a._state_index
     cell = a.transitions.get
-    edges: dict[str, list[str]] = {}
+    edges: list[list[int]] = []
     # owner[t] is the last state whose list took t; a state owns itself
     # from the start, so its self-loops are left out
-    owner: dict[str, str] = {}
-    for q in a.states:
-        owner[q] = q
-        edges[q] = out = []
+    owner = [-1] * len(a.states)
+    for i, q in enumerate(a.states):
+        owner[i] = i
+        edges.append(out := [])
         for sym in a.alphabet:
-            for t in cell((q, sym), EMPTY):
-                if owner.get(t) != q:
-                    owner[t] = q
+            targets = cell((q, sym), EMPTY)
+            if len(targets) > 1:    # most cells hold one target
+                targets = sorted(targets, key=index.__getitem__)
+            for t in targets:
+                t = index[t]
+                if owner[t] != i:
+                    owner[t] = i
                     out.append(t)
-    return _strongly_connected_components(a.states, edges)
+    return [[a.states[v] for v in component] for component in
+            _strongly_connected_components(range(len(a.states)), edges)]
 
 
 def classify(a: Automaton) -> AutomatonClass:

@@ -2,12 +2,13 @@
 and the two graph searches they rest on.
 
 ``_explore`` walks the whole reachable part of a graph breadth first;
-the subset construction, minimization and the product read it.
+minimization and the product read it.
 ``shortest_word`` searches for a goal node and stops at the first one;
 it gives every witness: the shortest word, ties broken by alphabet order.
 
 DFA questions are answered on integer tables of successor numbers,
-read from a named DFA by ``_read`` or built by the subset construction.
+read from a named DFA by ``_read`` or built by the subset construction,
+which holds each subset as a bit mask over state indices.
 One Hopcroft core minimizes a table, ``_count_words`` counts its words,
 and ``_named_dfa`` names it on the way out; ``_minimal_table`` hands the
 minimal DFA's table unnamed to R-triviality and DRE definability.
@@ -40,21 +41,17 @@ def _claim(name: str, taken: set[str]) -> str:
 
 
 def _explore(starts: Iterable[Node],
-             successors: Callable[[Node], list[tuple[str, Node]]],
-             max_nodes: float = INFINITE
+             successors: Callable[[Node], list[tuple[str, Node]]]
              ) -> dict[Node, list[tuple[str, Node]]]:
     """Every node reachable from a start node, in breadth-first
     discovery order, mapped to the ``(symbol, target)`` list that
-    ``successors`` returns for it.  Discovering a node beyond the first
-    ``max_nodes`` raises ``CapacityError``."""
+    ``successors`` returns for it."""
     graph: dict[Node, list[tuple[str, Node]]] = dict.fromkeys(starts)
     order = list(graph)
     for node in order:      # the list grows while it is read
         graph[node] = edges = successors(node)
         for _symbol, target in edges:
             if target not in graph:
-                if len(graph) >= max_nodes:
-                    raise CapacityError(f"search exceeded {max_nodes} nodes")
                 graph[target] = None
                 order.append(target)
     return graph
@@ -72,59 +69,81 @@ def _read(d: Automaton) -> tuple[list[list[Optional[int]]], list[bool], int]:
     return rows, [q in d.accepting for q in d.states], d.state_index(start)
 
 
+def _bits(mask: int) -> list[int]:
+    """The positions of the set bits of ``mask``, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
 def _subset_table(a: Automaton, max_subsets: int) -> tuple[
-        list[frozenset[int]], list[list[int]], list[bool]]:
+        list[int], list[list[int]], list[bool]]:
     """Subset construction over state indices.
 
+    A subset is a bit mask, bit ``q`` standing for state ``q``, and its
+    move on a letter is the union (OR) of its members' target masks.
     Returns the reachable subsets in breadth-first discovery order, the
     successor table (``table[i][s]`` is the index of the subset that
     subset ``i`` moves to on letter ``s``) and the acceptance of each
-    subset.  Subset 0 is the set of initial states.
+    subset.  Subset 0 is the set of initial states.  Discovering a
+    subset beyond the first ``max_subsets`` raises ``CapacityError``.
     """
     index = a.state_index
-    none: frozenset[int] = frozenset()
     # rows[s][q]: the targets of state q on letter s
-    rows = [[none] * len(a.states) for _ in a.alphabet]
+    rows = [[0] * len(a.states) for _ in a.alphabet]
     for (q, sym), targets in a.transitions.items():
-        rows[a.symbol_index(sym)][index(q)] = frozenset(map(index, targets))
-    lookups = [(sym, row.__getitem__) for sym, row in zip(a.alphabet, rows)]
-    try:
-        graph = _explore([frozenset(map(index, a.initial))], lambda subset: [
-            (sym, none.union(*map(targets_of, subset)))
-            for sym, targets_of in lookups], max_subsets)
-    except CapacityError:
-        raise CapacityError(
-            f"subset construction exceeded {max_subsets} states") from None
-    number = {subset: i for i, subset in enumerate(graph)}
-    table = [[number[target] for _sym, target in edges]
-             for edges in graph.values()]
-    accepting = frozenset(map(index, a.accepting))
-    return (list(graph), table,
-            [not accepting.isdisjoint(subset) for subset in graph])
+        rows[a.symbol_index(sym)][index(q)] = sum(1 << index(t)
+                                                  for t in targets)
+    start = sum(1 << index(q) for q in a.initial)
+    number = {start: 0}
+    subsets = [start]
+    table = []
+    for subset in subsets:      # the list grows while it is read
+        members = _bits(subset)
+        table.append(row := [])
+        for targets_of in rows:
+            target = 0
+            for q in members:
+                target |= targets_of[q]
+            i = number.get(target)
+            if i is None:
+                if len(subsets) >= max_subsets:
+                    raise CapacityError(f"subset construction exceeded "
+                                        f"{max_subsets} states")
+                i = number[target] = len(subsets)
+                subsets.append(target)
+            row.append(i)
+    accepting = sum(1 << index(q) for q in a.accepting)
+    return subsets, table, [subset & accepting != 0 for subset in subsets]
 
 
 def determinize(a: Automaton, max_subsets: int = DEFAULT_SUBSET_LIMIT) -> Automaton:
     """Subset construction.  The result is always complete.
 
-    Subsets are frozensets of state indices, discovered breadth first;
-    each is named by its members in declaration order, such as
-    ``{q0,q2}``.  Unreachable subsets are never materialised; the empty
-    subset ``{}`` acts as the rejecting sink when some move is missing.
-    Exceeding ``max_subsets`` distinct subsets raises ``CapacityError``.
+    Subsets are ``_subset_table``'s bit masks over state indices,
+    discovered breadth first; each is named by its members in
+    declaration order, such as ``{q0,q2}``.  Unreachable subsets are
+    never materialised; the empty subset ``{}`` acts as the rejecting
+    sink when some move is missing.  Exceeding ``max_subsets`` distinct
+    subsets raises ``CapacityError``.
     """
     subsets, table, accepting = _subset_table(a, max_subsets)
-    return _named_dfa(a.alphabet, a.states, 0, subsets, table, accepting)
+    return _named_dfa(a.alphabet, a.states, 0, list(map(_bits, subsets)),
+                      table, accepting)
 
 
 def _named_dfa(alphabet: Sequence[str], names: Sequence[str], start: int,
-               members: Sequence[Iterable[int]], rows: list[list[int]],
+               members: Sequence[list[int]], rows: list[list[int]],
                accepting: list[bool]) -> Automaton:
     """The complete DFA of a table whose state ``i`` is named after its
-    members ``members[i]``, indices into ``names``, such as ``{q0,q2}``:
-    in index order, made unique by ``_claim``."""
+    members ``members[i]``, ascending indices into ``names``, such as
+    ``{q0,q2}``, made unique by ``_claim``."""
     taken: set[str] = set()
-    state_names = [_claim("{" + ",".join([names[i] for i in sorted(m)]) + "}",
-                          taken) for m in members]
+    state_names = [_claim("{" + ",".join([names[i] for i in m]) + "}", taken)
+                   for m in members]
     # one frozenset per target state, not one per move
     targets = [frozenset((name,)) for name in state_names]
     transitions = {(name, sym): targets[t]

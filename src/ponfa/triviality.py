@@ -64,16 +64,19 @@ class RExpression:
                 raise ValueError(f"letter {letter!r} occurs in its loop set")
 
 
-def is_r_trivial(a: Automaton) -> TrivialityVerdict:
+def is_r_trivial(a: Automaton,
+                 max_subsets: int = DEFAULT_SUBSET_LIMIT) -> TrivialityVerdict:
     """Order-triviality of the language.
 
     Decided on the minimal DFA, as ``ops._minimal_table``'s integer
     table: the language qualifies exactly when it is partially ordered.
+    A subset construction beyond ``max_subsets`` subsets raises
+    ``CapacityError``.
     On failure the verdict exhibits a state on a proper cycle through
     two access words, one of which traverses the cycle once; both words
     are the shortest of their kind, ties broken by alphabet order.
     """
-    rows, _accepting = _minimal_table(a, DEFAULT_SUBSET_LIMIT)
+    rows, _accepting = _minimal_table(a, max_subsets)
     cyclic = [c for c in _strongly_connected_components(range(len(rows)), rows)
               if len(c) > 1]
     if not cyclic:
@@ -91,7 +94,8 @@ def is_r_trivial(a: Automaton) -> TrivialityVerdict:
     return TrivialityVerdict(False, cycle_words=(access, access + loop))
 
 
-def is_k_r_trivial(a: Automaton, k: int) -> TrivialityVerdict:
+def is_k_r_trivial(a: Automaton, k: int, max_subsets: int = DEFAULT_SUBSET_LIMIT
+                   ) -> TrivialityVerdict:
     """Is the language a union of prefix-k-equivalence classes?
 
     A word shares its class with its representative, the word without
@@ -101,8 +105,8 @@ def is_k_r_trivial(a: Automaton, k: int) -> TrivialityVerdict:
     word, and ``split_class`` holds its representative and the accepted
     and the rejected one of the two.  Since the property is monotone in
     ``k``, smaller bounds are tried first and ``k_used`` reports the
-    first success.  A search storing more than
-    ``ops.DEFAULT_SUBSET_LIMIT`` nodes raises ``CapacityError``.
+    first success.  A search storing more than ``max_subsets`` nodes
+    raises ``CapacityError``.
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
@@ -112,7 +116,7 @@ def is_k_r_trivial(a: Automaton, k: int) -> TrivialityVerdict:
                 != a.accepting.isdisjoint(there))
 
     for smaller in range(k + 1):
-        word = class_search(a, a, smaller, differ, DEFAULT_SUBSET_LIMIT)
+        word = class_search(a, a, smaller, differ, max_subsets)
         if word is None:
             return TrivialityVerdict(True, k_used=smaller)
     rep = representative(word, k)

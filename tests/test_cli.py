@@ -183,6 +183,21 @@ def test_rtrivial_reports_the_cycle_words(tmp_path, capsys):
         list(word) for word in is_r_trivial(loop_plus).cycle_words]
 
 
+def test_rtrivial_max_subsets_exits_two_below_the_budget(extremal_path, capsys):
+    # build_a(2, 2)'s subset table has 16 subsets; its class searches
+    # at the bounds 0..3 store at most 48 nodes
+    for argv, least in ((), 16), (("--k", "5"), 48):
+        code, out, _ = run(capsys, "rtrivial", extremal_path, *argv,
+                           "--max-subsets", str(least))
+        assert code == 0 and json.loads(out)["result"] is True
+        code, out, err = run(capsys, "rtrivial", extremal_path, *argv,
+                             "--max-subsets", str(least - 1))
+        assert code == 2 and out == ""
+        assert err == (f"error: subset construction exceeded {least - 1} "
+                       "states\n" if not argv else
+                       f"error: search exceeded {least - 1} nodes\n")
+
+
 def test_rtrivial_k_reports_the_least_bound_that_holds(extremal_path, capsys):
     code, out, _ = run(capsys, "rtrivial", extremal_path, "--k", "5")
     assert code == 0
@@ -307,7 +322,8 @@ def test_capacity_exhaustion_exits_two(extremal_path, capsys):
     assert code == 2 and err.startswith("error:")
 
 
-@pytest.mark.parametrize("command", ["universal", "include", "equal", "dre"])
+@pytest.mark.parametrize("command", ["universal", "include", "equal", "dre",
+                                     "rtrivial"])
 @pytest.mark.parametrize("value, message", [
     ("0", "must be positive, got 0"),
     ("-5", "must be positive, got -5"),

@@ -1,14 +1,19 @@
 """Automaton data type, JSON round trips, classification, depth."""
 
 import json
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
 
 import pytest
 
+import ponfa
 from ponfa.core import (Automaton, AutomatonClass, AutomatonKind, FormatError,
-                        accepts, classify, complete_automaton, depth,
-                        parse_automaton, parse_word, serialize_automaton)
+                        _strongly_connected_components, accepts, classify,
+                        complete_automaton, depth, parse_automaton, parse_word,
+                        serialize_automaton)
 from ponfa.reductions import Dtm, dtm_to_ponfa
 
 
@@ -382,3 +387,111 @@ def test_depth_matches_brute_force():
             assert depth(a) == expected, trial
             ordered += 1
     assert 150 <= ordered < 300
+
+
+def dict_tarjan(vertices, edges):
+    """Iterative Tarjan with its marks in dicts and a set, keyed by any
+    hashable node: the reference for the list-based integer core."""
+    index, low, on_stack, stack, components = {}, {}, set(), [], []
+    counter = 0
+    for root in vertices:
+        if root in index:
+            continue
+        work = [(root, 0)]
+        while work:
+            v, ei = work.pop()
+            if ei == 0:
+                index[v] = low[v] = counter
+                counter += 1
+                stack.append(v)
+                on_stack.add(v)
+            advanced = False
+            targets = edges[v]
+            while ei < len(targets):
+                w = targets[ei]
+                ei += 1
+                if w not in index:
+                    work.append((v, ei))
+                    work.append((w, 0))
+                    advanced = True
+                    break
+                if w in on_stack:
+                    low[v] = min(low[v], index[w])
+            if advanced:
+                continue
+            if low[v] == index[v]:
+                component = []
+                while True:
+                    w = stack.pop()
+                    on_stack.discard(w)
+                    component.append(w)
+                    if w == v:
+                        break
+                components.append(component)
+            if work:
+                parent = work[-1][0]
+                low[parent] = min(low[parent], low[v])
+    return components
+
+
+def test_tarjan_matches_the_dict_based_pass():
+    rng = random.Random(47)
+    cyclic = looped = repeated = 0
+    for _ in range(500):
+        n = rng.randint(1, 25)
+        edges = []
+        for v in range(n):
+            out = [rng.randrange(n) for _ in range(rng.randint(0, 3))]
+            if rng.random() < 0.3:
+                out.append(v)
+            if out and rng.random() < 0.3:
+                out.append(rng.choice(out))
+            rng.shuffle(out)
+            edges.append(out)
+        # every vertex as a root, in a shuffled order, or only some,
+        # and a third of the time some roots listed twice
+        roots = rng.sample(range(n), n if rng.random() < 0.5
+                           else rng.randint(1, n))
+        if rng.random() < 0.3:
+            roots += roots[:rng.randint(1, len(roots))]
+        found = _strongly_connected_components(roots, edges)
+        assert found == dict_tarjan(roots, edges)
+        cyclic += any(len(component) > 1 for component in found)
+        looped += any(v in out for v, out in enumerate(edges))
+        repeated += any(len(set(out)) < len(out) for out in edges)
+    assert min(cyclic, looped, repeated) >= 100
+
+
+HASH_PROBE = """
+import json, random
+from ponfa.core import Automaton, components, serialize_automaton
+from ponfa.ops import bisimulation_quotient
+rng = random.Random(53)
+out = []
+for trial in range(300):
+    n = rng.randint(2, 7)
+    states = [f"s{i}" for i in range(n)]
+    # even trials are partially ordered, so the quotient can merge
+    transitions = {(q, sym): rng.sample(pool, rng.randint(1, min(3, n - i)))
+                   for i, q in enumerate(states) for sym in "ab"
+                   for pool in [states[i:] if trial % 2 == 0 else states]
+                   if rng.random() < 0.7}
+    a = Automaton("ab", states, ["s0"], rng.sample(states, rng.randint(0, n)),
+                  transitions)
+    out.append([components(a), serialize_automaton(bisimulation_quotient(a))])
+print(json.dumps(out))
+"""
+
+
+def test_components_and_quotient_do_not_depend_on_the_hash_seed():
+    # string sets iterate in an order set by the hash seed; the
+    # components, and so the quotient's block names, must not follow it
+    source = os.path.dirname(os.path.dirname(ponfa.__file__))
+    outputs = {subprocess.run(
+        [sys.executable, "-c", HASH_PROBE], capture_output=True, text=True,
+        check=True, env=dict(os.environ, PYTHONHASHSEED=seed,
+                             PYTHONPATH=source)).stdout
+        for seed in ("0", "1", "2", "3")}
+    assert len(outputs) == 1
+    (text,) = outputs
+    assert len(json.loads(text)) == 300

@@ -8,10 +8,10 @@ import pytest
 from ponfa.core import (Automaton, CapacityError, accepts, classify,
                         serialize_automaton)
 from ponfa.decision import _includes_generic, is_universal
-from ponfa.ops import (DEFAULT_SUBSET_LIMIT, INFINITE, _explore,
-                       _minimal_table, _read, bisimulation_quotient,
-                       complement, count_language_size, determinize, is_empty,
-                       minimize, product_intersection)
+from ponfa.ops import (DEFAULT_SUBSET_LIMIT, INFINITE, _bits, _explore,
+                       _minimal_table, _read, _subset_table,
+                       bisimulation_quotient, complement, count_language_size,
+                       determinize, is_empty, minimize, product_intersection)
 
 
 def contains_a1():
@@ -77,6 +77,74 @@ def test_determinize_respects_the_subset_cap():
     a = Automaton(("a", "b"), states, ["s0"], [states[-1]], transitions)
     with pytest.raises(CapacityError):
         determinize(a, max_subsets=16)
+
+
+def frozenset_subset_table(a, max_subsets):
+    """The subset construction over frozensets of state indices, walked
+    breadth first: the reference for ``_subset_table``'s bit masks."""
+    index = a.state_index
+    none = frozenset()
+    rows = [[none] * len(a.states) for _ in a.alphabet]
+    for (q, sym), targets in a.transitions.items():
+        rows[a.symbol_index(sym)][index(q)] = frozenset(map(index, targets))
+    graph = {frozenset(map(index, a.initial)): None}
+    order = list(graph)
+    for subset in order:
+        graph[subset] = edges = [none.union(*[row[q] for q in subset])
+                                 for row in rows]
+        for target in edges:
+            if target not in graph:
+                if len(graph) >= max_subsets:
+                    raise CapacityError(f"subset construction exceeded "
+                                        f"{max_subsets} states")
+                graph[target] = None
+                order.append(target)
+    number = {subset: i for i, subset in enumerate(graph)}
+    accepting = frozenset(map(index, a.accepting))
+    return (order, [[number[t] for t in edges] for edges in graph.values()],
+            [not accepting.isdisjoint(subset) for subset in order])
+
+
+def test_subset_table_matches_a_frozenset_construction():
+    rng = random.Random(43)
+    letters = [f"x{i}" for i in range(24)]
+    # one 5,000-state chain on the first of two letters
+    chain = [f"c{i}" for i in range(5000)]
+    automata = [Automaton(("a", "b"), chain, ["c0"], chain[::7], {
+        (q, "a"): [t] for q, t in zip(chain, chain[1:])})]
+    for _ in range(500):
+        n = rng.randint(1, 9)
+        alphabet = letters[:rng.choice((1, 2, 3, 21, 24))]
+        states = [f"s{i}" for i in range(n)]
+        density = 0.7 if len(alphabet) < 4 else 0.12
+        transitions = {(q, sym): rng.sample(states, rng.randint(1, min(n, 3)))
+                       for q in states for sym in alphabet
+                       if rng.random() < density}
+        initial = ([] if rng.random() < 0.15 else
+                   rng.sample(states, rng.randint(1, min(n, 3))))
+        automata.append(Automaton(alphabet, states, initial,
+                                  rng.sample(states, rng.randint(0, n)),
+                                  transitions))
+    assert sum(not a.initial for a in automata) >= 50
+    assert sum(len(a.alphabet) > 20 for a in automata) >= 150
+    boundaries = 0
+    for a in automata:
+        subsets, table, accepting = _subset_table(a, DEFAULT_SUBSET_LIMIT)
+        members, ref_table, ref_accepting = frozenset_subset_table(
+            a, DEFAULT_SUBSET_LIMIT)
+        assert list(map(_bits, subsets)) == list(map(sorted, members))
+        assert subsets == [sum(1 << q for q in m) for m in members]
+        assert (table, accepting) == (ref_table, ref_accepting)
+        # n subsets fit a budget of n and exceed a budget of n - 1
+        count = len(subsets)
+        assert _subset_table(a, count)[1] == table
+        if count > 1:
+            message = f"^subset construction exceeded {count - 1} states$"
+            for construction in (_subset_table, frozenset_subset_table):
+                with pytest.raises(CapacityError, match=message):
+                    construction(a, count - 1)
+            boundaries += 1
+    assert len(automata[0].states) == 5000 and boundaries >= 350
 
 
 @pytest.mark.parametrize("a, message", [

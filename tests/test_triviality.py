@@ -9,7 +9,8 @@ from ponfa import triviality
 from ponfa.core import Automaton, CapacityError, accepts, classify, depth
 from ponfa.decision import equivalent
 from ponfa.extremal import build_a, build_w
-from ponfa.ops import determinize, minimize
+from ponfa.ops import (DEFAULT_SUBSET_LIMIT, _subset_table, determinize,
+                       minimize)
 from ponfa.subseq import is_minimal_representative, sim_rk
 from ponfa.triviality import (RExpression, TrivialityVerdict, is_k_r_trivial,
                               is_k_r_trivial_oracle, is_r_trivial,
@@ -190,6 +191,20 @@ def test_counted_ladder_at_large_bounds():
         ab = ("a", "b") * k
         assert is_k_r_trivial(loop_plus(), k) == TrivialityVerdict(
             False, k_used=k, split_class=(ab, ab + ("a",), ab))
+
+
+def test_budgets_bound_the_subset_table_and_the_class_search():
+    a = build_a(2, 2)
+    count = len(_subset_table(a, DEFAULT_SUBSET_LIMIT)[0])
+    assert count == 16
+    assert is_r_trivial(a, max_subsets=count) == is_r_trivial(a)
+    message = f"^subset construction exceeded {count - 1} states$"
+    with pytest.raises(CapacityError, match=message):
+        is_r_trivial(a, max_subsets=count - 1)
+    # the searches at bounds 0..3 store at most 48 nodes each
+    assert is_k_r_trivial(a, 5, max_subsets=48) == is_k_r_trivial(a, 5)
+    with pytest.raises(CapacityError, match="^search exceeded 47 nodes$"):
+        is_k_r_trivial(a, 5, max_subsets=47)
 
 
 def test_k_must_be_nonnegative():

@@ -14,11 +14,15 @@ From each named module it samples ``SITES`` mutation sites with
 * ``and`` and ``or`` swapped.
 
 Each mutant runs the tier-1 tests of the copy, stopping at the first
-failure, and prints one line: ``killed`` or ``survived``, the file and
-line of the original source, and the mutation.  A mutant whose tests
-run past ``TIMEOUT_S`` seconds counts as killed.  The script is a tool,
-not a gate: its exit status is 0 whatever survives.  It needs only the
-standard library and pytest.
+failure, and prints one line: ``killed``, ``survived`` or ``timeout``,
+the file and line of the original source, and the mutation.  A mutant
+whose tests run past ``TIMEOUT_S`` seconds is stopped and reported as
+``timeout``: it may hang a search, or only be slow, so it is neither
+killed nor survived.  The tests run with their address space capped at
+``MEMORY_CAP`` bytes, so a mutant that grows a list without end fails
+them with ``MemoryError`` instead of taking the host's memory.  The script is a tool, not a gate: its exit
+status is 0 whatever survives.  It needs only the standard library and
+pytest.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ import argparse
 import ast
 import os
 import random
+import resource
 import shutil
 import subprocess
 import sys
@@ -37,6 +42,7 @@ SITES = 20
 # tier-1 takes under 20 s; a mutant that stops a search from ending
 # must not hang the run
 TIMEOUT_S = 300
+MEMORY_CAP = 2 << 30
 
 SWAPS = {ast.Eq: ast.NotEq, ast.NotEq: ast.Eq, ast.Lt: ast.LtE,
          ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt,
@@ -85,8 +91,13 @@ def mutate(tree: ast.Module, target: int, operand: int) -> None:
                     value[value.index(node)] = node.operand
 
 
-def run_tests(copy: Path) -> bool:
-    """True when the tier-1 tests of the copy pass."""
+def cap_memory() -> None:
+    resource.setrlimit(resource.RLIMIT_AS, (MEMORY_CAP, MEMORY_CAP))
+
+
+def run_tests(copy: Path) -> str:
+    """``survived`` when the tier-1 tests of the copy pass, ``killed``
+    when one fails and ``timeout`` when they run past ``TIMEOUT_S``."""
     env = dict(os.environ, PYTHONPATH=str(copy / "src"),
                PYTHONDONTWRITEBYTECODE="1")
     try:
@@ -94,10 +105,11 @@ def run_tests(copy: Path) -> bool:
             [sys.executable, "-m", "pytest", "-q", "-x", "-W", "error",
              "-p", "no:cacheprovider", "tests"],
             cwd=copy, env=env, stdout=subprocess.DEVNULL,
-            stderr=subprocess.DEVNULL, timeout=TIMEOUT_S)
+            stderr=subprocess.DEVNULL, timeout=TIMEOUT_S,
+            preexec_fn=cap_memory)
     except subprocess.TimeoutExpired:
-        return False
-    return done.returncode == 0
+        return "timeout"
+    return "survived" if done.returncode == 0 else "killed"
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -112,7 +124,7 @@ def main(argv: list[str] | None = None) -> int:
     # the tests read files beside them, such as the README
     shutil.copytree(ROOT, copy, ignore=shutil.ignore_patterns(
         ".git", "__pycache__", ".pytest_cache"))
-    if not run_tests(copy):
+    if run_tests(copy) != "survived":
         sys.exit("error: the unmutated copy fails its tests")
     rng = random.Random(args.seed)
     for module in args.modules:
@@ -125,7 +137,7 @@ def main(argv: list[str] | None = None) -> int:
             mutate(tree, target, operand)
             path.write_text(ast.unparse(tree), encoding="utf-8")
             try:
-                verdict = "survived" if run_tests(copy) else "killed"
+                verdict = run_tests(copy)
             finally:
                 path.write_text(source, encoding="utf-8")
             print(f"{verdict:8} {module}:{line}  {what}", flush=True)
