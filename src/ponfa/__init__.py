@@ -7,17 +7,15 @@ from .core import (Automaton, AutomatonClass, AutomatonKind, CapacityError,
                    complete_automaton, depth, parse_automaton, parse_word,
                    serialize_automaton)
 from .decision import Strategy, equivalent, includes, is_universal
-from .dre import OrbitDecomposition, has_orbit_property, is_dre_definable, orbits
+from .dre import is_dre_definable
 from .extremal import ExtremalReport, build_a, build_w, verify_extremal
 from .ops import (INFINITE, complement, count_language_size, determinize,
                   is_empty, minimize, product_intersection)
 from .reductions import (CnfFormula, Dtm, SimulationResult, SimulationStatus,
                          cnf_to_rponfa, dtm_to_ponfa, encode_run,
-                         format_checker_ponfa, parse_dimacs, parse_dtm,
-                         sat_brute_force, simulate)
+                         parse_dimacs, parse_dtm, sat_brute_force, simulate)
 from .subseq import (class_dfa, enumerate_minimal_representatives,
-                     is_minimal_representative, max_representative_length,
-                     rk_signature, sim_k, sim_rk, sub_k)
+                     max_representative_length, sub_k)
 from .triviality import (RExpression, TrivialityVerdict, is_k_r_trivial,
                          is_r_trivial, r_expression_to_automaton,
                          rponfa_to_r_expressions)
@@ -27,16 +25,15 @@ __all__ = [
     "Decision", "FormatError", "accepts", "classify", "complete_automaton",
     "depth", "parse_automaton", "parse_word", "serialize_automaton",
     "Strategy", "equivalent", "includes", "is_universal",
-    "OrbitDecomposition", "has_orbit_property", "is_dre_definable", "orbits",
+    "is_dre_definable",
     "ExtremalReport", "build_a", "build_w", "verify_extremal",
     "INFINITE", "complement", "count_language_size", "determinize",
     "is_empty", "minimize", "product_intersection",
     "CnfFormula", "Dtm", "SimulationResult", "SimulationStatus",
-    "cnf_to_rponfa", "dtm_to_ponfa", "encode_run", "format_checker_ponfa",
+    "cnf_to_rponfa", "dtm_to_ponfa", "encode_run",
     "parse_dimacs", "parse_dtm", "sat_brute_force", "simulate",
     "class_dfa", "enumerate_minimal_representatives",
-    "is_minimal_representative", "max_representative_length",
-    "rk_signature", "sim_k", "sim_rk", "sub_k",
+    "max_representative_length", "sub_k",
     "RExpression", "TrivialityVerdict", "is_k_r_trivial", "is_r_trivial",
     "r_expression_to_automaton", "rponfa_to_r_expressions",
 ]

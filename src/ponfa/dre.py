@@ -1,4 +1,4 @@
-"""Orbit analysis and definability by deterministic regular expressions.
+"""Definability by deterministic regular expressions.
 
 A deterministic (one-unambiguous) regular expression is one where,
 while reading a word left to right, each symbol matches a unique
@@ -27,46 +27,21 @@ costs more than it saves.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
 from typing import Optional
 
 from .core import Automaton, _strongly_connected_components
-from .ops import (DEFAULT_SUBSET_LIMIT, _explore, _hopcroft, _minimal_table,
-                  _read)
+from .ops import DEFAULT_SUBSET_LIMIT, _explore, _hopcroft, _minimal_table
 
 logger = logging.getLogger(__name__)
 
 Table = list[list[Optional[int]]]   # a DFA's rows: start 0, None: no move
 
 
-@dataclass(frozen=True)
-class OrbitDecomposition:
-    """Partition of a DFA's states into maximal strongly connected
-    components, with the gate states of each.  A gate is a state that
-    is accepting or has a transition leaving its component."""
-
-    orbits: tuple[frozenset[str], ...]
-    gates: tuple[frozenset[str], ...]
-
-    def orbit_of(self, state: str) -> frozenset[str]:
-        for orbit in self.orbits:
-            if state in orbit:
-                return orbit
-        raise KeyError(state)
-
-
-def _table(d: Automaton) -> tuple[Table, list[bool]]:
-    """A deterministic automaton's ``ops._read`` rows and acceptance."""
-    # checked here, not through classify, which would add a second
-    # component pass
-    if len(d.initial) != 1 or any(len(t) > 1 for t in d.transitions.values()):
-        raise ValueError("orbit analysis requires a deterministic automaton")
-    return _read(d)[:2]
-
-
 def _orbits(rows: Table) -> list[list[int]]:
     """The orbits of a table, in ``core.components`` order, each in
-    state order."""
+    state order.  A state with only a self-loop is its own orbit; so is
+    a state with no cycle at all, the two differing only in their orbit
+    language."""
     return [sorted(component) for component in _strongly_connected_components(
         range(len(rows)), [[t for t in row if t is not None] for row in rows])]
 
@@ -74,33 +49,14 @@ def _orbits(rows: Table) -> list[list[int]]:
 def _gates(rows: Table, accepting: list[bool], orbit: list[int]
            ) -> tuple[list[int], bool]:
     """An orbit's gates, in state order, and whether they agree: the
-    same acceptance and, on each symbol, the same move out of the orbit."""
+    same acceptance and, on each symbol, the same move out of the orbit.
+    A gate is a state that is accepting or has a move leaving the orbit."""
     members = set(orbit)
     gates = [q for q in orbit if accepting[q] or any(
         t is not None and t not in members for t in rows[q])]
     faces = {(accepting[q], tuple(t if t not in members else None
                                   for t in rows[q])) for q in gates}
     return gates, len(faces) <= 1
-
-
-def orbits(d: Automaton) -> OrbitDecomposition:
-    """Orbit decomposition of a deterministic automaton.  A state with
-    only a self-loop is its own orbit; so is a state with no cycle at
-    all, the two differing only in their orbit language."""
-    name = d.states.__getitem__
-    rows, accepting = _table(d)
-    found = _orbits(rows)
-    return OrbitDecomposition(
-        tuple(frozenset(map(name, orbit)) for orbit in found),
-        tuple(frozenset(map(name, _gates(rows, accepting, orbit)[0]))
-              for orbit in found))
-
-
-def has_orbit_property(d: Automaton) -> bool:
-    """True when, in every orbit, all gates agree: same acceptance
-    status, and on each symbol the same targets outside the orbit."""
-    rows, accepting = _table(d)
-    return all(_gates(rows, accepting, orbit)[1] for orbit in _orbits(rows))
 
 
 def _trim(rows: Table, accepting: list[bool]

@@ -22,6 +22,7 @@ from .ops import (DEFAULT_SUBSET_LIMIT, INFINITE, _count_words, _hopcroft,
                   _subset_table, shortest_word)
 
 DEFAULT_WORD_LIMIT = 10**7
+DEFAULT_TRANSITION_LIMIT = 200_000
 
 
 def _alphabet(n: int) -> tuple[str, ...]:
@@ -76,9 +77,17 @@ def build_a(k: int, n: int) -> Automaton:
     state that was accepting one level down.  Every level contributes
     its chain start to the initial set, and every state is accepting
     except the k-th of each level.
+
+    Level m adds k + 2 + (m - 1)(3k + 4) transitions, so the automaton
+    has n(k + 2) + (3k + 4)n(n - 1)/2; past ``DEFAULT_TRANSITION_LIMIT``
+    it raises CapacityError before building anything.
     """
     if k < 1 or n < 1:
         raise ValueError("build_a requires k >= 1 and n >= 1")
+    count = n * (k + 2) + (3 * k + 4) * n * (n - 1) // 2
+    if count > DEFAULT_TRANSITION_LIMIT:
+        raise CapacityError(f"automaton with {count} transitions exceeds the "
+                            f"limit of {DEFAULT_TRANSITION_LIMIT}")
     symbols = _alphabet(n)
     states = [_state(i, m) for m in range(1, n + 1) for i in range(k + 2)]
     transitions: dict[tuple[str, str], set[str]] = {}

@@ -2,7 +2,7 @@
 and the two graph searches they rest on.
 
 ``_explore`` walks the whole reachable part of a graph breadth first;
-minimization and the product read it.
+minimization, the product and ``dre._orbit_language`` read it.
 ``shortest_word`` searches for a goal node and stops at the first one;
 it gives every witness: the shortest word, ties broken by alphabet order.
 

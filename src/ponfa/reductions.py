@@ -545,19 +545,6 @@ def _add_malformed_detectors(sk: _Sketch, blocks: Sequence[Word],
     return all_state, mark
 
 
-def format_checker_ponfa(symbol_count: int) -> Automaton:
-    """Standalone automaton over {0, 1} accepting exactly the words
-    that are not concatenations of valid blocks for a code table of
-    the given size.  Exposed as a validation oracle."""
-    if symbol_count < 2:
-        raise ValueError("the code table needs at least two symbols")
-    sk = _Sketch(("0", "1"))
-    _add_malformed_detectors(sk, _blocks(symbol_count), {})
-    result = sk.build()
-    assert classify(result).is_partially_ordered
-    return result
-
-
 def _successor_table(machine: Dtm,
                      encoding: _Encoding) -> dict[tuple[int, int, int],
                                                   Optional[int]]:

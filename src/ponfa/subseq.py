@@ -18,13 +18,13 @@ updates the vector by
     level(b) becomes min(level(b), L + 1) for every other letter b.
 
 The vector is a function of sub_k(w) that fixes all future growth, so
-it can stand in for the set as a search key.  ``SubseqSet``, ``sub_k``,
-``sim_k``, ``sim_rk`` and ``rk_signature`` build the sets themselves,
-with the one-letter update
+it can stand in for the set as a search key.  ``SubseqSet`` and
+``sub_k`` build the sets themselves, with the one-letter update
 
     sub_k(wa) = sub_k(w) united with { ua : u in sub_k(w), |u| < k },
 
-and are the definitional reference for the level vector.
+and are the definitional reference for the level vector; the oracle
+``triviality.is_k_r_trivial_oracle`` runs on them.
 """
 
 from __future__ import annotations
@@ -60,16 +60,6 @@ class SubseqSet:
         return SubseqSet(self.k, _canonical(grown))
 
 
-@dataclass(frozen=True)
-class RChainSignature:
-    """The distinct subsequence sets seen along the prefixes of a word,
-    in order of first appearance.  The sets only ever grow, so the
-    chain is strictly increasing."""
-
-    k: int
-    chain: tuple[SubseqSet, ...]
-
-
 def sub_k(word: Sequence[str], k: int) -> SubseqSet:
     """Subsequence set of a word, built with the one-letter update."""
     if k < 0:
@@ -78,37 +68,6 @@ def sub_k(word: Sequence[str], k: int) -> SubseqSet:
     for symbol in word:
         current = current.extend(symbol)
     return current
-
-
-def sim_k(x: Sequence[str], y: Sequence[str], k: int) -> bool:
-    """k-equivalence: equal subsequence sets up to length ``k``."""
-    return sub_k(x, k) == sub_k(y, k)
-
-
-def rk_signature(word: Sequence[str], k: int) -> RChainSignature:
-    current = sub_k((), k)
-    chain = [current]
-    for symbol in word:
-        grown = current.extend(symbol)
-        if grown is not current and grown != current:
-            chain.append(grown)
-            current = grown
-    return RChainSignature(k, tuple(chain))
-
-
-def sim_rk(x: Sequence[str], y: Sequence[str], k: int) -> bool:
-    """Prefix-k-equivalence, checked directly from the definition:
-    every prefix of ``x`` is k-equivalent to some prefix of ``y`` and
-    the other way round.  Equivalent to equality of signatures."""
-    def prefix_sets(w: Sequence[str]) -> set[SubseqSet]:
-        current = sub_k((), k)
-        out = {current}
-        for symbol in w:
-            current = current.extend(symbol)
-            out.add(current)
-        return out
-
-    return prefix_sets(x) == prefix_sets(y)
 
 
 def _read(levels: tuple[int, ...], index: int, k: int) -> tuple[int, ...]:
@@ -120,15 +79,6 @@ def _read(levels: tuple[int, ...], index: int, k: int) -> tuple[int, ...]:
     grown = [min(level, cap) for level in levels]
     grown[index] = cap
     return tuple(grown)
-
-
-def is_minimal_representative(word: Sequence[str], k: int) -> bool:
-    """True when every letter strictly grows the subsequence set.
-
-    Such words are the unique shortest members of their
-    prefix-k-equivalence classes.
-    """
-    return representative(word, k) == tuple(word)
 
 
 def representative(word: Sequence[str], k: int) -> Word:
@@ -227,7 +177,7 @@ def class_dfa(word: Sequence[str], k: int, alphabet: Sequence[str]) -> Automaton
     at level k in the level vector of the prefix.
     """
     w = tuple(word)
-    if not is_minimal_representative(w, k):
+    if representative(w, k) != w:
         raise ValueError("class_dfa requires a minimal representative")
     position = {symbol: index for index, symbol in enumerate(alphabet)}
     for symbol in w:

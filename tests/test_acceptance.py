@@ -20,9 +20,11 @@ from ponfa.ops import (complement, count_language_size, determinize, is_empty,
 from ponfa.reductions import (CnfFormula, Dtm, SimulationStatus, cnf_to_rponfa,
                               dtm_to_ponfa, encode_run, sat_brute_force,
                               simulate)
-from ponfa.subseq import rk_signature, sim_k, sim_rk, sub_k
+from ponfa.subseq import sub_k
 from ponfa.triviality import (is_k_r_trivial, is_k_r_trivial_oracle,
                               is_r_trivial)
+
+from oracles import rk_signature, sim_k, sim_rk
 
 
 # ---------------------------------------------------------------- helpers

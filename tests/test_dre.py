@@ -3,11 +3,9 @@
 import logging
 import random
 
-import pytest
-
 from ponfa import dre, ops, triviality
 from ponfa.core import Automaton, classify
-from ponfa.dre import has_orbit_property, is_dre_definable, orbits
+from ponfa.dre import is_dre_definable
 from ponfa.extremal import build_a
 from ponfa.ops import determinize, minimize
 from ponfa.triviality import is_r_trivial
@@ -48,24 +46,26 @@ def test_second_last_letter_is_not_definable(caplog):
                for record in caplog.records)
 
 
+def orbit_faces(d):
+    """Each orbit of a named DFA's table, with its gates and whether
+    they agree, as ``dre._orbits`` and ``dre._gates`` find them."""
+    rows, accepting = ops._read(d)[:2]
+    return [(orbit, *dre._gates(rows, accepting, orbit))
+            for orbit in dre._orbits(rows)]
+
+
 def test_orbit_decomposition_shape():
     d = minimize(determinize(second_last_b()))
     assert len(d.states) == 4
-    deco = orbits(d)
-    sizes = sorted(len(orbit) for orbit in deco.orbits)
+    faces = orbit_faces(d)
+    sizes = sorted(len(orbit) for orbit, _gates, _agree in faces)
     assert sum(sizes) == 4
     assert max(sizes) >= 2
-    for orbit, gates in zip(deco.orbits, deco.gates):
-        assert gates <= orbit
-    lookup = {q: deco.orbit_of(q) for q in d.states}
-    for orbit in deco.orbits:
-        for q in orbit:
-            assert lookup[q] == orbit
-
-
-def test_orbits_require_determinism():
-    with pytest.raises(ValueError):
-        orbits(second_last_b())
+    for orbit, gates, _agree in faces:
+        assert set(gates) <= set(orbit)
+    # every state lies in exactly one orbit
+    assert sorted(q for orbit, _gates, _agree in faces
+                  for q in orbit) == list(range(4))
 
 
 def suffix_b(m):
@@ -151,9 +151,7 @@ def test_deciders_build_no_intermediate_dfa(monkeypatch):
 
 def test_single_state_universal_language():
     tiny = Automaton(("a",), ("z",), ["z"], ["z"], {("z", "a"): ["z"]})
-    deco = orbits(tiny)
-    assert deco.orbits == (frozenset({"z"}),)
-    assert deco.gates == (frozenset({"z"}),)
+    assert orbit_faces(tiny) == [([0], [0], True)]
     assert is_dre_definable(tiny) is True
 
 
@@ -173,10 +171,10 @@ def test_gate_disagreement_breaks_the_property():
          ("g1", "b"): ["out"], ("g2", "b"): ["out"],
          ("out", "a"): ["out"], ("out", "b"): ["out"]},
     )
-    deco = orbits(violation)
-    pair = next(orbit for orbit in deco.orbits if len(orbit) == 2)
-    assert deco.gates[deco.orbits.index(pair)] == pair
-    assert has_orbit_property(violation) is False
+    faces = orbit_faces(violation)
+    orbit, gates, _agree = next(face for face in faces if len(face[0]) == 2)
+    assert gates == orbit
+    assert not all(agree for _orbit, _gates, agree in faces)
 
 
 def test_ordered_minimal_automata_have_singleton_orbits():
@@ -185,9 +183,9 @@ def test_ordered_minimal_automata_have_singleton_orbits():
             machine = build_a(k, n)
             dfa = minimize(determinize(machine))
             assert classify(dfa).is_partially_ordered
-            deco = orbits(dfa)
-            assert all(len(orbit) == 1 for orbit in deco.orbits)
-            assert has_orbit_property(dfa)
+            faces = orbit_faces(dfa)
+            assert all(len(orbit) == 1 for orbit, _gates, _agree in faces)
+            assert all(agree for _orbit, _gates, agree in faces)
             assert is_dre_definable(machine) is True
 
 

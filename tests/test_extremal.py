@@ -12,7 +12,9 @@ from ponfa import extremal
 from ponfa.extremal import ExtremalReport, build_a, build_w, verify_extremal
 from ponfa.ops import (INFINITE, complement, count_language_size, determinize,
                        is_empty, minimize)
-from ponfa.subseq import is_minimal_representative, max_representative_length
+from ponfa.subseq import max_representative_length
+
+from oracles import is_minimal_representative
 
 
 def test_small_words_are_pinned():
@@ -58,6 +60,31 @@ def test_word_size_cap(monkeypatch):
     with pytest.raises(CapacityError, match="word of length 9 exceeds "
                        "the limit of 5"):
         build_w(3, 2)
+
+
+def test_automaton_size_cap(monkeypatch):
+    # the count checked up front is the count built: an automaton of
+    # exactly the limit's transitions is built, one more is refused
+    built = {(k, n): build_a(k, n) for k in range(1, 5) for n in range(1, 5)}
+    for (k, n), a in built.items():
+        cells = sum(map(len, a.transitions.values()))
+        monkeypatch.setattr(extremal, "DEFAULT_TRANSITION_LIMIT", cells)
+        assert build_a(k, n) == a
+        monkeypatch.setattr(extremal, "DEFAULT_TRANSITION_LIMIT",
+                            cells - 1)
+        with pytest.raises(CapacityError, match=(
+                f"automaton with {cells} transitions exceeds the "
+                f"limit of {cells - 1}")):
+            build_a(k, n)
+    monkeypatch.undo()
+    # refused before anything is built; verify-extremal's word of 2,000
+    # letters passes its own cap, so the automaton's is the one hit
+    start = time.perf_counter()
+    with pytest.raises(CapacityError, match="2239600 transitions"):
+        build_a(1, 800)
+    assert main(["gen-a", "1", "2000"]) == 2
+    assert main(["verify-extremal", "1", "2000"]) == 2
+    assert time.perf_counter() - start < 0.5
 
 
 def test_automaton_shape():

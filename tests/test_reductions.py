@@ -12,9 +12,10 @@ from ponfa.core import (Automaton, AutomatonKind, CapacityError, FormatError,
 from ponfa.decision import Strategy, equivalent, is_universal
 from ponfa.ops import bisimulation_quotient
 from ponfa.reductions import (CnfFormula, Dtm, SimulationStatus, cnf_to_rponfa,
-                              dtm_to_ponfa, encode_run, format_checker_ponfa,
-                              parse_dimacs, parse_dtm, sat_brute_force,
-                              simulate)
+                              dtm_to_ponfa, encode_run, parse_dimacs,
+                              parse_dtm, sat_brute_force, simulate)
+
+from oracles import format_checker_ponfa
 
 # one-cell machine that accepts the input 1 in a single step
 ACCEPT1 = Dtm(

@@ -8,9 +8,9 @@ from ponfa.core import accepts
 from ponfa.extremal import build_a
 from ponfa.subseq import (_read, class_dfa, class_search,
                           enumerate_minimal_representatives,
-                          is_minimal_representative,
-                          max_representative_length, representative,
-                          rk_signature, sim_k, sim_rk, sub_k)
+                          max_representative_length, representative, sub_k)
+
+from oracles import is_minimal_representative, rk_signature, sim_k, sim_rk
 
 
 def all_words(alphabet, max_len):
@@ -46,7 +46,6 @@ def test_negative_bound_is_rejected_everywhere():
     a = build_a(1, 1)
     calls = [
         lambda: representative(("a",), -1),
-        lambda: is_minimal_representative(("a",), -1),
         lambda: class_search(a, a, -1, lambda here, there: False, 100),
         lambda: list(enumerate_minimal_representatives(("a",), -1, 2)),
         lambda: class_dfa((), -1, ("a",)),
@@ -150,6 +149,11 @@ def test_representative_is_the_minimal_class_member():
 def test_enumeration_in_length_then_lex_order():
     reps = list(enumerate_minimal_representatives(("a", "b"), 1, 10))
     assert reps == [(), ("a",), ("b",), ("a", "b"), ("b", "a")]
+    # at k = 0 every word is in the empty word's class
+    assert list(enumerate_minimal_representatives(("a", "b"), 0, 10)) == [()]
+    # max_len cuts the enumeration short of the longest, of length 5
+    cut = enumerate_minimal_representatives(("a", "b"), 2, 3)
+    assert max(map(len, cut)) == 3
     reps2 = list(enumerate_minimal_representatives(("a", "b"), 2, 10))
     # closed under prefixes, all flagged minimal, none repeated
     assert len(set(reps2)) == len(reps2)

@@ -11,11 +11,12 @@ from ponfa.decision import equivalent
 from ponfa.extremal import build_a, build_w
 from ponfa.ops import (DEFAULT_SUBSET_LIMIT, _subset_table, determinize,
                        minimize)
-from ponfa.subseq import is_minimal_representative, sim_rk
 from ponfa.triviality import (RExpression, TrivialityVerdict, is_k_r_trivial,
                               is_k_r_trivial_oracle, is_r_trivial,
                               r_expression_to_automaton,
                               rponfa_to_r_expressions)
+
+from oracles import is_minimal_representative, sim_rk
 
 
 def loop_plus():
