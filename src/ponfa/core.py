@@ -17,9 +17,10 @@ The automaton classes recognised by ``classify`` form a small lattice:
 
 "Partially ordered" means the reachability relation on states is a
 partial order, equivalently that every cycle in the transition graph
-is a self-loop.  ``components`` and its Tarjan core answer every cycle
-question: classification, depth, and, on integer successor tables, the
-cycle checks of the triviality and orbit modules.
+is a self-loop.  ``_ordered_states`` finds such a cycle or orders the
+states, each after its targets, in one Kahn pass for classification,
+depth and the quotient.  The Tarjan core runs only on the integer
+tables of the triviality, orbit and word-counting passes.
 """
 
 from __future__ import annotations
@@ -308,33 +309,26 @@ def _strongly_connected_components(
     return components
 
 
-def components(a: Automaton) -> list[list[str]]:
-    """Strongly connected components of the transition graph without
-    its self-loops, in reverse topological order.  The search takes
-    roots in state order and each state's successors in alphabet order,
-    and each cell's targets in state order, so the components come out
-    in a fixed order.  A state on no cycle but its self-loops is a
-    component of its own."""
-    index = a._state_index
-    cell = a.transitions.get
-    edges: list[list[int]] = []
-    # owner[t] is the last state whose list took t; a state owns itself
-    # from the start, so its self-loops are left out
-    owner = [-1] * len(a.states)
-    for i, q in enumerate(a.states):
-        owner[i] = i
-        edges.append(out := [])
-        for sym in a.alphabet:
-            targets = cell((q, sym), EMPTY)
-            if len(targets) > 1:    # most cells hold one target
-                targets = sorted(targets, key=index.__getitem__)
-            for t in targets:
-                t = index[t]
-                if owner[t] != i:
-                    owner[t] = i
-                    out.append(t)
-    return [[a.states[v] for v in component] for component in
-            _strongly_connected_components(range(len(a.states)), edges)]
+def _ordered_states(a: Automaton) -> list[str] | None:
+    """Every state after each of its targets other than itself, or None
+    when a cycle runs through two or more states.  Kahn's pass: a state
+    waits for one placement per (cell, target) other than itself.  The
+    states with none come first, in state order, and each placed state
+    releases its sources in transitions-dict order, not the hash seed's."""
+    waiting = dict.fromkeys(a.states, 0)
+    sources: dict[str, list[str]] = {q: [] for q in a.states}
+    for (q, _sym), targets in a.transitions.items():
+        for t in targets:
+            if t != q:
+                waiting[q] += 1
+                sources[t].append(q)
+    order = [q for q, count in waiting.items() if not count]
+    for t in order:     # the list grows while it is read
+        for q in sources[t]:
+            waiting[q] -= 1
+            if not waiting[q]:
+                order.append(q)
+    return order if len(order) == len(a.states) else None
 
 
 def classify(a: Automaton) -> AutomatonClass:
@@ -344,13 +338,14 @@ def classify(a: Automaton) -> AutomatonClass:
     stored cells: the automaton is complete when every (state, symbol)
     pair has a cell, deterministic when it has one initial state and
     every cell one target, and self-loop-deterministic when every cell
-    holding its own source holds nothing else.
+    holding its own source holds nothing else.  It is partially ordered
+    when ``_ordered_states`` orders every state.
     """
     cells = a.transitions
     complete = len(cells) == len(a.states) * len(a.alphabet)
     deterministic = len(a.initial) == 1 and all(
         len(targets) == 1 for targets in cells.values())
-    ordered = all(len(c) == 1 for c in components(a))
+    ordered = _ordered_states(a) is not None
     loop_det = all(len(targets) == 1
                    for (q, _sym), targets in cells.items() if q in targets)
     if deterministic and ordered:
@@ -394,15 +389,15 @@ def depth(a: Automaton) -> int:
     """Length of the longest self-loop-free path from an initial state.
 
     Only defined for partially ordered automata; the length counts
-    transitions, not states.  The components come in reverse
-    topological order, so every target's longest path is known before
+    transitions, not states.  ``_ordered_states`` places every state
+    after its targets, so every target's longest path is known before
     its sources are reached.
     """
+    order = _ordered_states(a)
+    if order is None:
+        raise ValueError("depth requires a partially ordered automaton")
     longest: dict[str, int] = {}
-    for component in components(a):
-        if len(component) > 1:
-            raise ValueError("depth requires a partially ordered automaton")
-        (q,) = component
+    for q in order:
         longest[q] = max((1 + longest[t] for sym in a.alphabet
                           for t in a.step(q, sym) if t != q), default=0)
     return max((longest[q] for q in a.initial), default=0)

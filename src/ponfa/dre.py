@@ -38,10 +38,10 @@ Table = list[list[Optional[int]]]   # a DFA's rows: start 0, None: no move
 
 
 def _orbits(rows: Table) -> list[list[int]]:
-    """The orbits of a table, in ``core.components`` order, each in
-    state order.  A state with only a self-loop is its own orbit; so is
-    a state with no cycle at all, the two differing only in their orbit
-    language."""
+    """The orbits of a table, in the reverse topological order of
+    ``core._strongly_connected_components``, each in state order.  A
+    state with only a self-loop is its own orbit; so is a state with no
+    cycle at all, the two differing only in their orbit language."""
     return [sorted(component) for component in _strongly_connected_components(
         range(len(rows)), [[t for t in row if t is not None] for row in rows])]
 

@@ -148,13 +148,16 @@ def verify_extremal(k: int, n: int, do_minimize: bool = False) -> ExtremalReport
     the word.  With ``do_minimize`` the minimal deterministic size is
     measured as well; for k == n it must reach C(2n, n).  The count,
     the witness and that size are read off one unnamed subset table.
+    Its n cells a row cap it at ``DEFAULT_SUBSET_LIMIT // n`` subsets,
+    about 2^20 cells, past which it raises CapacityError.
     """
     # the word's length cap raises before the automaton is built
     word = build_w(k, n)
     automaton = build_a(k, n)
     state_count = len(automaton.states)
     alphabet = automaton.alphabet
-    _subsets, table, accepting = _subset_table(automaton, DEFAULT_SUBSET_LIMIT)
+    _subsets, table, accepting = _subset_table(
+        automaton, DEFAULT_SUBSET_LIMIT // len(alphabet))
     rejecting = [not final for final in accepting]
     count = _count_words(table, rejecting, 0)
     rejected_count = int(count) if count != INFINITE else -1

@@ -22,7 +22,7 @@ from collections import deque
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .core import (EMPTY, Automaton, CapacityError, Decision, Node, Word,
-                   _strongly_connected_components, components)
+                   _ordered_states, _strongly_connected_components)
 
 DEFAULT_SUBSET_LIMIT = 1 << 20
 
@@ -257,13 +257,13 @@ def minimize(d: Automaton) -> Automaton:
 
 def bisimulation_quotient(a: Automaton) -> Automaton:
     """``a`` with each block of its coarsest forward bisimulation merged
-    into its first member, in one pass over ``components``, whose order
-    places a state's targets, but itself, first.  A state joins the block
+    into its first member in ``core._ordered_states``, which places a
+    state after its targets other than itself.  A state joins the block
     with its signature: acceptance and the (letter, target block) pairs,
     its self-loops counted as entering that block.  Returns ``a`` itself
     when a cycle runs through two or more states or nothing merges."""
-    order = components(a)
-    if max(map(len, order)) > 1:
+    order = _ordered_states(a)
+    if order is None:
         return a
     cell = a.transitions.get
     letters = range(len(a.alphabet))
@@ -271,7 +271,7 @@ def bisimulation_quotient(a: Automaton) -> Automaton:
     # a block under its signature, and under its first member's with the
     # self-loops marked None, found so by states entering it by loops alone
     blocks: dict[tuple, str] = {}
-    for (q,) in order:
+    for q in order:
         rows = [cell((q, sym), EMPTY) for sym in a.alphabet]
         moves = frozenset([(i, block_of[t]) for i in letters
                            for t in rows[i] if t != q])

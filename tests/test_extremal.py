@@ -10,8 +10,8 @@ from ponfa.cli import main
 from ponfa.core import (AutomatonKind, CapacityError, accepts, classify)
 from ponfa import extremal
 from ponfa.extremal import ExtremalReport, build_a, build_w, verify_extremal
-from ponfa.ops import (INFINITE, complement, count_language_size, determinize,
-                       is_empty, minimize)
+from ponfa.ops import (DEFAULT_SUBSET_LIMIT, INFINITE, complement,
+                       count_language_size, determinize, is_empty, minimize)
 from ponfa.subseq import max_representative_length
 
 from oracles import is_minimal_representative
@@ -174,6 +174,22 @@ def test_verify_extremal_checks_the_word_cap_first():
     for k, n in ((0, 2), (2, 0), (-1, 2)):
         with pytest.raises(ValueError):
             verify_extremal(k, n)
+
+
+def test_verify_extremal_budgets_table_cells_not_subsets():
+    # these pass the word and transition caps; the subset table has n
+    # cells a row, so a budget of 2^20 subsets let them run 13-57 s
+    start = time.perf_counter()
+    for k, n in ((1, 239), (2, 100), (3, 40)):
+        with pytest.raises(CapacityError, match=(
+                f"subset construction exceeded "
+                f"{DEFAULT_SUBSET_LIMIT // n} states")):
+            verify_extremal(k, n)
+    assert main(["verify-extremal", "1", "239"]) == 2
+    assert time.perf_counter() - start < 10
+    # the tables of (6, 6) and (5, 6) still fit the budget
+    assert verify_extremal(6, 6, do_minimize=True).min_dfa_states == 925
+    assert verify_extremal(5, 6, do_minimize=True).min_dfa_states == 463
 
 
 def test_minimal_dfa_blowup_on_the_diagonal():

@@ -5,11 +5,12 @@ import pkgutil
 
 import ponfa
 
-# test-only definitions that live in tests/oracles.py, and named-state
-# orbit wrappers whose integer cores dre runs on
+# test-only definitions that live in tests/oracles.py, named-state
+# orbit wrappers whose integer cores dre runs on, and the named-state
+# Tarjan wrapper that core._ordered_states replaced
 REMOVED = ("OrbitDecomposition", "orbits", "has_orbit_property",
            "is_minimal_representative", "sim_k", "sim_rk", "rk_signature",
-           "RChainSignature", "format_checker_ponfa")
+           "RChainSignature", "format_checker_ponfa", "components")
 
 
 def test_every_exported_name_resolves_once():
