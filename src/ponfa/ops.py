@@ -11,7 +11,9 @@ read from a named DFA by ``_read`` or built by the subset construction,
 which holds each subset as a bit mask over state indices.
 One Hopcroft core minimizes a table, ``_count_words`` counts its words,
 and ``_named_dfa`` names it on the way out; ``_minimal_table`` hands the
-minimal DFA's table unnamed to R-triviality and DRE definability.
+minimal DFA's table unnamed to R-triviality and DRE definability.  It
+skips the Hopcroft core when ``_co_deterministic`` proves the subset
+table minimal as built (Brzozowski's lemma), as on Σ*bΣ^m.
 ``bisimulation_quotient`` merges the bisimilar states of a partially
 ordered automaton in one pass; universality searches the quotient.
 """
@@ -226,11 +228,43 @@ def _hopcroft(table: list[list[int]], accepting: list[bool]
                       for m in ordered], [accepting[m[0]] for m in ordered])
 
 
+def _co_deterministic(a: Automaton) -> bool:
+    """Whether ``a`` has exactly one accepting state, every state
+    reaches it, and no state is entered twice on one letter: its
+    reversal is then a DFA whose states are all reachable.
+
+    By Brzozowski's lemma ("Canonical regular expressions and minimal
+    state graphs for definite events", 1962) the subset table of such
+    an ``a`` is minimal.  Each state accepts some word, as it reaches
+    the accepting state, and no two states accept a common word, as the
+    word read backwards from the accepting state retraces one run; so
+    distinct subsets, the empty one included, accept distinct
+    languages."""
+    if len(a.accepting) != 1:
+        return False
+    entered: set[tuple[str, str]] = set()
+    sources: dict[str, list[tuple[str, str]]] = {q: [] for q in a.states}
+    for (q, sym), targets in a.transitions.items():
+        for t in targets:
+            if (t, sym) in entered:
+                return False
+            entered.add((t, sym))
+            sources[t].append((sym, q))
+    return len(_explore(a.accepting, sources.__getitem__)) == len(a.states)
+
+
 def _minimal_table(a: Automaton, max_subsets: int
                    ) -> tuple[list[list[int]], list[bool]]:
     """The rows and acceptance of ``minimize(determinize(a,
-    max_subsets))``, built from the subset table and never named."""
+    max_subsets))``, built from the subset table and never named.
+
+    When ``a`` is co-deterministic (``_co_deterministic``) the table is
+    minimal already: every Hopcroft block would be one subset, numbered
+    as the table numbers it, so the table is returned as it is.
+    Otherwise the Hopcroft core minimizes it."""
     _subsets, table, accepting = _subset_table(a, max_subsets)
+    if _co_deterministic(a):
+        return table, accepting
     return _hopcroft(table, accepting)[1:]
 
 

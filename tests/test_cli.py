@@ -3,6 +3,7 @@
 import json
 import re
 import shlex
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -12,7 +13,7 @@ import ponfa.reductions
 from ponfa.cli import _build_parser, main
 from ponfa.core import (Automaton, Decision, parse_automaton, parse_word,
                         serialize_automaton)
-from ponfa.extremal import build_a
+from ponfa.extremal import ExtremalReport, build_a
 from ponfa.reductions import cnf_to_rponfa, dtm_to_ponfa, parse_dimacs, parse_dtm
 from ponfa.triviality import is_r_trivial
 
@@ -304,6 +305,35 @@ def test_verify_extremal(capsys):
     assert payload["stats"]["min_dfa_states"] >= payload["stats"]["min_dfa_bound"]
 
 
+@pytest.mark.parametrize("argv", [["2", "3"], ["2", "3", "--minimize"]])
+def test_verify_extremal_without_a_bound(capsys, argv):
+    # without --minimize, or with k != n, there is no C(2n, n) bound
+    code, out, _ = run(capsys, "verify-extremal", *argv)
+    payload = json.loads(out)
+    assert code == 0 and payload["result"] is True
+    assert ("min_dfa_states" in payload["stats"]) == ("--minimize" in argv)
+    assert payload["stats"].get("min_dfa_bound") is None
+
+
+@pytest.mark.parametrize("change, result", [
+    ({}, True),
+    ({"min_dfa_states": 20}, True),     # the bound met exactly passes
+    ({"min_dfa_states": 19}, False),
+    ({"rejected_count": 2}, False),
+    ({"rejected_word_matches": False}, False),
+    ({"state_count": 13}, False),
+], ids=["sound", "at-bound", "below-bound", "two-rejected", "other-word",
+        "state-count"])
+def test_verify_extremal_fails_on_any_failed_check(capsys, monkeypatch,
+                                                   change, result):
+    # each check alone decides the result; the real reports all pass
+    report = ExtremalReport(3, 3, 15, 15, 1, True, 21, 20)
+    monkeypatch.setattr(ponfa.cli, "verify_extremal",
+                        lambda k, n, do_minimize: replace(report, **change))
+    code, out, _ = run(capsys, "verify-extremal", "3", "3", "--minimize")
+    assert code == 0 and json.loads(out)["result"] is result
+
+
 def test_missing_file_exits_one(capsys):
     code, _, err = run(capsys, "classify", "/nonexistent/file.json")
     assert code == 1 and err.startswith("error:")
@@ -337,6 +367,16 @@ def test_non_positive_max_subsets_exits_one(extremal_path, command, value,
     assert info.value.code == 1
     assert capsys.readouterr().err.endswith(
         f"error: argument --max-subsets: {message}\n")
+
+
+@pytest.mark.parametrize("command", ["universal", "include", "equal", "dre",
+                                     "rtrivial"])
+def test_max_subsets_of_one_is_a_budget(extremal_path, command, capsys):
+    # 1 is the least positive budget: the search runs, and exceeds it
+    files = [extremal_path] * (2 if command in ("include", "equal") else 1)
+    code, out, err = run(capsys, command, *files, "--max-subsets", "1")
+    assert code == 2 and out == ""
+    assert re.fullmatch(r"error: .* exceeded 1 [a-z ]+\n", err)
 
 
 def test_usage_errors_exit_one():

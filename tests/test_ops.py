@@ -5,13 +5,17 @@ import random
 
 import pytest
 
+from ponfa import dre, ops
 from ponfa.core import (Automaton, CapacityError, accepts, classify,
                         serialize_automaton)
 from ponfa.decision import _includes_generic, is_universal
-from ponfa.ops import (DEFAULT_SUBSET_LIMIT, INFINITE, _bits, _explore,
-                       _minimal_table, _read, _subset_table,
-                       bisimulation_quotient, complement, count_language_size,
-                       determinize, is_empty, minimize, product_intersection)
+from ponfa.dre import is_dre_definable
+from ponfa.ops import (DEFAULT_SUBSET_LIMIT, INFINITE, _bits,
+                       _co_deterministic, _explore, _hopcroft, _minimal_table,
+                       _read, _subset_table, bisimulation_quotient, complement,
+                       count_language_size, determinize, is_empty, minimize,
+                       product_intersection)
+from ponfa.triviality import is_r_trivial
 
 
 def contains_a1():
@@ -278,6 +282,158 @@ def test_minimal_table_equals_minimize_of_determinize():
             assert unnamed(a, cap) == expected, (trial, cap)
             capped += str(expected).startswith("subset construction exceeded")
     assert primed >= 20 and capped >= 500
+
+
+def reversed_dfa(rng):
+    """The reversal of a random partial DFA whose every state is
+    reachable, declared in shuffled order: its one accepting state is
+    the DFA's start, every state reaches it, and no state is entered
+    twice on one letter.  Its initial states are the DFA's accepting
+    ones, sometimes none."""
+    n = rng.randint(1, 7)
+    alphabet = ("a", "b", "c")[:rng.randint(1, 3)]
+    delta = {}
+    for t in range(1, n):   # state t is entered from an earlier state
+        delta[rng.choice([(q, sym) for q in range(t) for sym in alphabet
+                          if (q, sym) not in delta])] = t
+    for q in range(n):
+        for sym in alphabet:
+            if (q, sym) not in delta and rng.random() < 0.5:
+                delta[q, sym] = rng.randrange(n)
+    moves = list(delta.items())
+    rng.shuffle(moves)
+    transitions = {}
+    for (q, sym), t in moves:
+        transitions.setdefault((f"d{t}", sym), []).append(f"d{q}")
+    states = [f"d{q}" for q in range(n)]
+    rng.shuffle(states)
+    return Automaton(alphabet, states,
+                     [q for q in states if rng.random() < 0.5], ["d0"],
+                     transitions)
+
+
+def test_co_deterministic_subset_tables_are_minimal_as_built():
+    rng = random.Random(47)
+    larger = 0
+    for trial in range(2000):
+        a = reversed_dfa(rng)
+        assert _co_deterministic(a), trial
+        table = _subset_table(a, DEFAULT_SUBSET_LIMIT)[1:]
+        assert (_minimal_table(a, DEFAULT_SUBSET_LIMIT)
+                == _hopcroft(*table)[1:] == table), trial
+        larger += len(table[0]) > 2
+    assert larger >= 1000
+
+
+def perturbed_reversed_dfa(rng):
+    """``reversed_dfa`` with up to two more moves and, at times, one more
+    accepting state, so that about half are still co-deterministic."""
+    a = reversed_dfa(rng)
+    cells = dict(a.transitions)
+    for _ in range(rng.randint(0, 2)):
+        key = (rng.choice(a.states), rng.choice(a.alphabet))
+        cells[key] = cells.get(key, frozenset()) | {rng.choice(a.states)}
+    accepting = {*a.accepting, *rng.sample(a.states, rng.random() < 0.2)}
+    return Automaton(a.alphabet, a.states, a.initial, accepting, cells)
+
+
+def test_minimal_table_shortcut_keeps_every_verdict(monkeypatch):
+    rng = random.Random(53)
+    automata = [random_nfa(rng, rng.randint(1, 7), ("a", "b", "c")[:k])
+                for k in (1, 2, 3) for _ in range(333)]
+    automata += [perturbed_reversed_dfa(rng) for _ in range(1000)]
+    taken = [_co_deterministic(a) for a in automata]
+    assert 400 <= sum(taken) <= 1000
+
+    def answers():
+        return [(is_r_trivial(a), is_dre_definable(a)) for a in automata]
+
+    shortcut = answers()
+    monkeypatch.setattr(ops, "_co_deterministic", lambda a: False)
+    assert answers() == shortcut
+    # the shortcut decides both verdicts both ways
+    assert sum(t and not r.holds for t, (r, _) in zip(taken, shortcut)) >= 150
+    assert sum(t and not d for t, (_, d) in zip(taken, shortcut)) >= 80
+
+
+def suffix_b(m):
+    """Σ*bΣ^m over {a, b}: the (m + 1)-th letter from the end is b."""
+    states = [f"q{i}" for i in range(m + 2)]
+    transitions = {("q0", "a"): ["q0"], ("q0", "b"): ["q0", "q1"]}
+    for i in range(1, m + 1):
+        for symbol in ("a", "b"):
+            transitions[(states[i], symbol)] = [states[i + 1]]
+    return Automaton(("a", "b"), states, ["q0"], [states[-1]], transitions)
+
+
+def renamed(rng, a):
+    """``a`` under shuffled state names, state order and transition order."""
+    order = rng.sample(a.states, len(a.states))
+    name = {q: f"r{i}" for i, q in enumerate(order)}
+    cells = list(a.transitions.items())
+    rng.shuffle(cells)
+    return Automaton(a.alphabet, [name[q] for q in order],
+                     [name[q] for q in a.initial],
+                     [name[q] for q in a.accepting],
+                     {(name[q], sym): [name[t] for t in targets]
+                      for (q, sym), targets in cells})
+
+
+def counted_hopcroft(monkeypatch):
+    """Route ``_hopcroft`` through a counter in every module that calls
+    it, and return the list of tables it was called on."""
+    calls = []
+
+    def counted(table, accepting):
+        calls.append(table)
+        return _hopcroft(table, accepting)
+
+    for module in (ops, dre):
+        monkeypatch.setattr(module, "_hopcroft", counted)
+    return calls
+
+
+def test_suffix_b_never_reaches_hopcroft(monkeypatch):
+    calls = counted_hopcroft(monkeypatch)
+    rng = random.Random(59)
+    for m in range(1, 9):
+        for a in (suffix_b(m), renamed(rng, suffix_b(m))):
+            rows, accepting = _minimal_table(a, DEFAULT_SUBSET_LIMIT)
+            assert len(rows) == len(accepting) == 2 ** (m + 1)
+            assert not is_r_trivial(a).holds
+            assert is_dre_definable(a) is False
+    assert calls == []
+
+
+def refused_variants():
+    """Σ*bΣ^2 changed to fail each condition of ``_co_deterministic``."""
+    base = suffix_b(2)
+    cells = dict(base.transitions)
+
+    def variant(states=base.states, accepting=base.accepting, moves=()):
+        return Automaton(base.alphabet, states, base.initial, accepting,
+                         {**cells, **dict(moves)})
+
+    return {
+        "no accepting state": variant(accepting=[]),
+        "two accepting states": variant(accepting=["q2", "q3"]),
+        "entered twice on one letter": variant(
+            moves=[(("q1", "a"), ["q2", "q3"])]),
+        "cannot reach acceptance": variant(
+            states=[*base.states, "v"], moves=[(("q0", "a"), ["q0", "v"])]),
+    }
+
+
+@pytest.mark.parametrize("label", list(refused_variants()))
+def test_each_refusal_falls_back_to_hopcroft(monkeypatch, label):
+    assert _co_deterministic(suffix_b(2))
+    a = refused_variants()[label]
+    assert not _co_deterministic(a)
+    calls = counted_hopcroft(monkeypatch)
+    table = _minimal_table(a, DEFAULT_SUBSET_LIMIT)
+    assert len(calls) == 1
+    monkeypatch.setattr(ops, "_co_deterministic", lambda a: False)
+    assert _minimal_table(a, DEFAULT_SUBSET_LIMIT) == table
 
 
 def test_complement_flips_membership():

@@ -1,12 +1,15 @@
 """Seeded mutation check for the ponfa sources.
 
     python3 tools/mutants.py --seed 0 --workdir /tmp/ponfa-mutants \\
-        src/ponfa/dre.py src/ponfa/triviality.py
+        src/ponfa/dre.py src/ponfa/triviality.py src/ponfa/ops.py:231-268
 
 Copies the checkout, without its git directory and caches, into
 ``--workdir`` (which must not exist yet) and mutates only that copy.
 From each named module it samples ``SITES`` mutation sites with
-``random.Random(seed)`` and makes one mutant per site, with one of:
+``random.Random(seed)`` and makes one mutant per site.  A module named
+as ``MODULE:FIRST-LAST`` is sampled only at the sites on lines FIRST to
+LAST, both included, such as the lines a change rewrote.  A mutant is
+one of:
 
 * a comparison swapped (``==``/``!=``, ``<``/``<=``, ``>``/``>=``,
   ``in``/``not in``, ``is``/``is not``);
@@ -91,6 +94,20 @@ def mutate(tree: ast.Module, target: int, operand: int) -> None:
                     value[value.index(node)] = node.operand
 
 
+def module_lines(arg: str) -> tuple[str, float, float]:
+    """``MODULE`` or ``MODULE:FIRST-LAST`` as the module and the first
+    and last line whose sites may be sampled."""
+    module, colon, span = arg.rpartition(":")
+    if not colon:
+        return arg, 1, float("inf")
+    first, dash, last = span.partition("-")
+    if not (dash and first.isdigit() and last.isdigit()
+            and 1 <= int(first) <= int(last)):
+        raise argparse.ArgumentTypeError(
+            f"{arg!r}: lines must read FIRST-LAST, 1 <= FIRST <= LAST")
+    return module, int(first), int(last)
+
+
 def cap_memory() -> None:
     resource.setrlimit(resource.RLIMIT_AS, (MEMORY_CAP, MEMORY_CAP))
 
@@ -114,8 +131,9 @@ def run_tests(copy: Path) -> str:
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("modules", nargs="+",
-                        help="source files, relative to the checkout")
+    parser.add_argument("modules", nargs="+", type=module_lines,
+                        help="source files, relative to the checkout, each "
+                        "optionally as MODULE:FIRST-LAST")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--workdir", type=Path, required=True,
                         help="scratch directory for the copy; must not exist")
@@ -127,10 +145,11 @@ def main(argv: list[str] | None = None) -> int:
     if run_tests(copy) != "survived":
         sys.exit("error: the unmutated copy fails its tests")
     rng = random.Random(args.seed)
-    for module in args.modules:
+    for module, first, last in args.modules:
         path = copy / module
         source = path.read_text(encoding="utf-8")
-        found = sites(ast.parse(source))
+        found = [site for site in sites(ast.parse(source))
+                 if first <= site[0] <= last]
         for line, target, operand, what in sorted(
                 rng.sample(found, min(SITES, len(found)))):
             tree = ast.parse(source)
