@@ -20,7 +20,9 @@ partial order, equivalently that every cycle in the transition graph
 is a self-loop.  ``_ordered_states`` finds such a cycle or orders the
 states, each after its targets, in one Kahn pass for classification,
 depth and the quotient.  The Tarjan core runs only on the integer
-tables of the triviality, orbit and word-counting passes.
+tables of the triviality, orbit and word-counting passes, and the first
+two skip it on a table that ``_all_reach_start``, one walk back to
+state 0, finds strongly connected.
 """
 
 from __future__ import annotations
@@ -307,6 +309,28 @@ def _strongly_connected_components(
                 if low[v] < low[parent]:
                     low[parent] = low[v]
     return components
+
+
+def _all_reach_start(rows: Sequence[Sequence[int | None]]) -> bool:
+    """Whether every state of a table reaches state 0, found by one walk
+    back from 0 over the predecessor lists; a ``None`` cell is no move.
+    On a table whose every state is reachable from 0, as on every table
+    the triviality and orbit passes read, True means that the table is
+    one strongly connected component."""
+    sources: list[list[int]] = [[] for _ in rows]
+    for q, row in enumerate(rows):
+        for t in row:
+            if t is not None:
+                sources[t].append(q)
+    seen = [False] * len(rows)
+    seen[0] = True
+    order = [0]
+    for t in order:     # the list grows while it is read
+        for q in sources[t]:
+            if not seen[q]:
+                seen[q] = True
+                order.append(q)
+    return len(order) == len(rows)
 
 
 def _ordered_states(a: Automaton) -> list[str] | None:

@@ -12,10 +12,17 @@ inside each orbit must be definable in turn.
 The recursion needs care on strongly connected automata, where the
 orbit is the whole machine and restricting to it makes no progress.
 There the decision proceeds by cutting, at the accepting states, the
-symbols on which all accepting states agree; if cutting cannot break
-the orbit the language is not definable.  The cut is where this
+consistent symbols, those on which all accepting states move to one
+shared target.  With no consistent symbol there is nothing to cut and
+the language is not definable, Brüggemann-Klein and Wood's rule for a
+strongly connected automaton; if cutting cannot break the orbit the
+language is not definable either.  The cut is where this
 implementation goes beyond the plain restatement of the criterion, and
-the no-progress verdict is logged when it decides.
+the no-progress verdict is logged when it decides.  Every table the
+decision reads has all its states reachable from its start, so one
+walk back to the start, ``core._all_reach_start``, tells whether it is
+one orbit; the Tarjan core finds the orbits of the other tables and of
+a cut one.
 
 The recursion runs only on the orbit languages of orbits with two or
 more states; each has a minimal DFA smaller than the automaton it came
@@ -29,7 +36,7 @@ from __future__ import annotations
 import logging
 from typing import Optional
 
-from .core import Automaton, _strongly_connected_components
+from .core import Automaton, _all_reach_start, _strongly_connected_components
 from .ops import DEFAULT_SUBSET_LIMIT, _explore, _hopcroft, _minimal_table
 
 logger = logging.getLogger(__name__)
@@ -94,11 +101,15 @@ def _orbit_language(rows: Table, orbit: list[int], start: int,
 
 def _definable(d: tuple[Table, list[bool]] | None) -> bool:
     """Whether the language of a trimmed minimal DFA, None standing for
-    the empty language, is definable."""
+    the empty language, is definable.  Every state of the table is
+    reachable from state 0, so ``core._all_reach_start`` tells when it
+    is one orbit without the Tarjan core; one with no consistent symbol
+    is not definable, decided without a cut or a second orbit pass."""
     if d is None or len(d[0]) <= 1:
         return True
     rows, accepting = d
-    found = _orbits(rows)
+    found = ([list(range(len(rows)))] if _all_reach_start(rows)
+             else _orbits(rows))
     if len(found) == 1:
         # the whole automaton is one strongly connected component, whose
         # gates, its accepting states, agree; cut the symbols on which
@@ -106,9 +117,11 @@ def _definable(d: tuple[Table, list[bool]] | None) -> bool:
         final = [q for q, accepts in enumerate(accepting) if accepts]
         cut = [len({rows[q][s] for q in final}) == 1
                and rows[final[0]][s] is not None for s in range(len(rows[0]))]
-        rows = [[None if accepts and cut[s] else t for s, t in enumerate(row)]
-                for row, accepts in zip(rows, accepting)]
-        found = _orbits(rows)
+        if any(cut):
+            rows = [[None if accepts and cut[s] else t
+                     for s, t in enumerate(row)]
+                    for row, accepts in zip(rows, accepting)]
+            found = _orbits(rows)
         if len(found) == 1:
             logger.warning(
                 "strongly connected automaton with %d states survives its "

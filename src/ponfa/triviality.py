@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .core import (Automaton, CapacityError, Word,
+from .core import (Automaton, CapacityError, Word, _all_reach_start,
                    _strongly_connected_components, accepts, classify)
 from .ops import (DEFAULT_SUBSET_LIMIT, _minimal_table, determinize,
                   minimize, shortest_word)
@@ -70,6 +70,9 @@ def is_r_trivial(a: Automaton,
 
     Decided on the minimal DFA, as ``ops._minimal_table``'s integer
     table: the language qualifies exactly when it is partially ordered.
+    A table of two or more states that ``core._all_reach_start`` finds
+    strongly connected is one proper cycle through state 0; any other
+    table has its components found by the Tarjan core.
     A subset construction beyond ``max_subsets`` subsets raises
     ``CapacityError``.
     On failure the verdict exhibits a state on a proper cycle through
@@ -77,11 +80,15 @@ def is_r_trivial(a: Automaton,
     are the shortest of their kind, ties broken by alphabet order.
     """
     rows, _accepting = _minimal_table(a, max_subsets)
-    cyclic = [c for c in _strongly_connected_components(range(len(rows)), rows)
-              if len(c) > 1]
-    if not cyclic:
-        return TrivialityVerdict(True)
-    component = set(min(cyclic, key=min))
+    if len(rows) > 1 and _all_reach_start(rows):
+        # every state is reachable from 0, so the table is one component
+        component = range(len(rows))
+    else:
+        cyclic = [c for c in _strongly_connected_components(
+            range(len(rows)), rows) if len(c) > 1]
+        if not cyclic:
+            return TrivialityVerdict(True)
+        component = set(min(cyclic, key=min))
     anchor = min(component)
     # every state of a minimized automaton is reachable
     access = shortest_word([0], a.alphabet, lambda q: zip(a.alphabet, rows[q]),

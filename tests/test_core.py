@@ -11,9 +11,10 @@ import pytest
 
 import ponfa
 from ponfa.core import (Automaton, AutomatonClass, AutomatonKind, FormatError,
-                        _ordered_states, _strongly_connected_components,
-                        accepts, classify, complete_automaton, depth,
-                        parse_automaton, parse_word, serialize_automaton)
+                        _all_reach_start, _ordered_states,
+                        _strongly_connected_components, accepts, classify,
+                        complete_automaton, depth, parse_automaton,
+                        parse_word, serialize_automaton)
 from ponfa.ops import bisimulation_quotient
 from ponfa.reductions import Dtm, dtm_to_ponfa
 
@@ -483,6 +484,33 @@ def test_tarjan_matches_the_dict_based_pass():
         looped += any(v in out for v, out in enumerate(edges))
         repeated += any(len(set(out)) < len(out) for out in edges)
     assert min(cyclic, looped, repeated) >= 100
+
+
+def test_reach_walk_is_one_tarjan_component_on_reachable_tables():
+    rng = random.Random(71)
+    strong = split = looped = missing = repeated = 0
+    for _ in range(600):
+        n = rng.randint(1, 12)
+        rows = [[None if rng.random() < 0.15 else rng.randrange(n)
+                 for _ in range(rng.randint(1, 3))] for _ in range(n)]
+        # the states reachable from 0, renumbered in the order found
+        reach = [0]
+        for q in reach:     # the list grows while it is read
+            for t in rows[q]:
+                if t is not None and t not in reach:
+                    reach.append(t)
+        number = {q: i for i, q in enumerate(reach)}
+        table = [[None if t is None else number[t] for t in rows[q]]
+                 for q in reach]
+        edges = [[t for t in row if t is not None] for row in table]
+        components = _strongly_connected_components(range(len(table)), edges)
+        assert _all_reach_start(table) == (len(components) == 1)
+        strong += len(components) == 1 < len(table)
+        split += len(components) > 1
+        looped += any(q in row for q, row in enumerate(table))
+        missing += any(None in row for row in table)
+        repeated += any(len(set(row)) < len(row) for row in edges)
+    assert min(strong, split, looped, missing, repeated) >= 150
 
 
 def test_ordered_states_is_none_exactly_on_a_longer_cycle():

