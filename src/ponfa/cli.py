@@ -25,7 +25,7 @@ from typing import Optional, Sequence
 
 from .core import (Automaton, CapacityError, FormatError, accepts, classify,
                    parse_automaton, parse_word, serialize_automaton)
-from .decision import Strategy, equivalent, includes, is_universal
+from .decision import equivalent, includes, is_universal
 from .dre import is_dre_definable
 from .extremal import build_a, build_w, verify_extremal
 from .ops import DEFAULT_SUBSET_LIMIT
@@ -62,8 +62,7 @@ def _cmd_decide(args) -> dict:
     else:
         automata = [_load_automaton(args.first), _load_automaton(args.second)]
         decide = includes if args.command == "include" else equivalent
-    decision = decide(*automata, strategy=args.strategy,
-                      max_nodes=args.max_subsets)
+    decision = decide(*automata, max_nodes=args.max_subsets)
     payload = {"result": decision.holds}
     witness = decision.witness
     if witness is not None:
@@ -164,13 +163,6 @@ def _add_max_subsets(parser: argparse.ArgumentParser) -> None:
                         "quotient")
 
 
-def _add_decision_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--strategy", default=Strategy.GENERIC.value,
-                        choices=[s.value for s in Strategy],
-                        help="decision engine (default: generic)")
-    _add_max_subsets(parser)
-
-
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = _ArgumentParser(prog="ponfa",
@@ -184,21 +176,21 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = commands.add_parser("universal", help="does the automaton accept "
                                                 "every word")
     sub.add_argument("automaton")
-    _add_decision_flags(sub)
+    _add_max_subsets(sub)
     sub.set_defaults(handler=_cmd_decide)
 
     sub = commands.add_parser("include", help="is the first language "
                                               "contained in the second")
     sub.add_argument("first")
     sub.add_argument("second")
-    _add_decision_flags(sub)
+    _add_max_subsets(sub)
     sub.set_defaults(handler=_cmd_decide)
 
     sub = commands.add_parser("equal", help="do the automata accept the "
                                             "same language")
     sub.add_argument("first")
     sub.add_argument("second")
-    _add_decision_flags(sub)
+    _add_max_subsets(sub)
     sub.set_defaults(handler=_cmd_decide)
 
     sub = commands.add_parser("rtrivial", help="is the language R-trivial")

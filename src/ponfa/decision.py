@@ -1,41 +1,37 @@
-"""Universality, inclusion and equivalence with pluggable strategies.
+"""Universality, inclusion and equivalence by one subset search.
 
 Every question is an inclusion L(left) ⊆ L(right): universality of an
 automaton is the inclusion of Σ* in it, and equivalence is inclusion
-both ways.  Two engines decide an inclusion:
+both ways.  One search decides an inclusion: an on-the-fly subset
+construction with breadth-first search for a word accepted on the left
+and rejected on the right.  For universality the search runs over
+subsets of the right side alone, otherwise over pairs of subsets.  A
+subset steps on a letter as one union of the letter's row,
+``state -> targets``, over its members.  The rows are filled on first
+lookup, not up front, because most searches stop after a few subsets.
+At subset |Q| + 1 a universality search builds
+``ops.bisimulation_quotient``, and starts again on it only when it
+merges states.  The search core is ``ops.shortest_word``.
 
-* ``GENERIC``         on-the-fly subset construction with breadth-first
-                      search for a word accepted on the left and
-                      rejected on the right; for universality the search
-                      runs over subsets of the right side alone.  A
-                      subset steps on a letter as one union of the
-                      letter's row, ``state -> targets``, over its
-                      members.  The rows are filled on first lookup,
-                      not up front, because most searches stop after a
-                      few subsets.  At subset |Q| + 1 a universality
-                      search builds ``ops.bisimulation_quotient``, and
-                      starts again on it only when it merges states.
-* ``RPONFA_BOUNDED``  for a self-loop-deterministic partially ordered
-                      right side the language is a union of
-                      prefix-k-equivalence classes for k equal to the
-                      completed automaton's depth, so a word is accepted
-                      exactly when its class representative is.  The
-                      class search ``subseq.class_search`` runs the left
-                      side on the word and the right side on its
-                      representative.
-
-``GENERIC`` is the default engine.  On every input measured it was
-faster than the bounded engine, also on the wide, shallow rpoNFAs that
-engine is built for.  On a one-letter partially ordered automaton
-``GENERIC`` is the paper's polynomial walk: a word is only its length,
+The witness is the length-lex-least word accepted on the left and
+rejected on the right, ties broken by alphabet order.  Two cases of the
+paper come out of this one search.  On a one-letter partially ordered
+automaton it is the paper's polynomial walk: a word is only its length,
 the subsets stop changing within |Q| letters, and the search stores at
 most |Q| + 1 subsets (for an inclusion, pairs of subsets, with |Q| the
-larger state count).
-``RPONFA_BOUNDED`` is the paper's procedure; it runs only when asked
-for, after its precondition is checked.  Both engines return the same
-witness: the length-lex-least word accepted on the left and rejected on
-the right, ties broken by alphabet order.  The searches of ``GENERIC``
-and of the class search share one core, ``ops.shortest_word``.
+larger state count).  When the right side is partially ordered with
+deterministic self-loops, its language is a union of
+prefix-d-equivalence classes for d the completed automaton's depth, so
+the witness is its own class representative
+(``subseq.representative``), at most C(d + |Σ|, d) - 1 letters long:
+the paper's coNP certificate.
+
+``Strategy`` names the search two ways.  ``GENERIC`` runs it on any
+input.  ``RPONFA_BOUNDED`` first checks the paper's precondition on the
+right-hand automaton, partially ordered with deterministic self-loops,
+and raises ``ValueError`` when it fails; then it runs the same search.
+The keyword stays until the benchmark's class-reps workload stops
+passing it (ROADMAP item 2).
 """
 
 from __future__ import annotations
@@ -44,10 +40,8 @@ import itertools
 from enum import Enum
 from typing import Optional
 
-from .core import (EMPTY, Automaton, CapacityError, Decision, classify,
-                   complete_automaton, depth)
+from .core import EMPTY, Automaton, CapacityError, Decision, classify
 from .ops import DEFAULT_SUBSET_LIMIT, bisimulation_quotient, shortest_word
-from .subseq import class_search
 
 
 class Strategy(Enum):
@@ -63,11 +57,6 @@ def _absorbing_accepting(a: Automaton) -> frozenset[str]:
                      if all(q in a.step(q, sym) for sym in a.alphabet))
 
 
-def _sigma_star(alphabet: tuple[str, ...]) -> Automaton:
-    return Automaton(alphabet, ("all",), ["all"], ["all"],
-                     {("all", sym): ["all"] for sym in alphabet})
-
-
 class _Smaller(Exception):
     """Raised with the quotient of the automaton searched."""
 
@@ -76,29 +65,17 @@ def _decide(left: Optional[Automaton], right: Automaton,
             strategy: "Strategy | str", max_nodes: int) -> Decision:
     """Is L(left) ⊆ L(right)?  ``left`` None stands for Σ* over the
     alphabet of ``right``."""
-    engine = Strategy(strategy)
-    if engine is Strategy.GENERIC:
-        try:
-            return _includes_generic(left, right, max_nodes, left is None)
-        except _Smaller as smaller:
-            return _includes_generic(None, smaller.args[0], max_nodes)
-    flags = classify(right)
-    if not (flags.is_partially_ordered and flags.is_self_loop_deterministic):
-        raise ValueError("the bounded engine requires the right-hand "
-                         "automaton to be partially ordered with "
-                         "deterministic self-loops")
-    # L(right) is a union of prefix-k classes for k the depth of the
-    # completed automaton: right accepts a word exactly when it accepts
-    # the word's class representative
-    k = depth(complete_automaton(right))
-    if left is None:
-        left = _sigma_star(right.alphabet)
-    word = class_search(
-        left, right, k,
-        lambda sa, sb: (not left.accepting.isdisjoint(sa)
-                        and right.accepting.isdisjoint(sb)),
-        max_nodes)
-    return Decision(True) if word is None else Decision(False, word)
+    if Strategy(strategy) is Strategy.RPONFA_BOUNDED:
+        flags = classify(right)
+        if not (flags.is_partially_ordered
+                and flags.is_self_loop_deterministic):
+            raise ValueError("the bounded engine requires the right-hand "
+                             "automaton to be partially ordered with "
+                             "deterministic self-loops")
+    try:
+        return _includes_generic(left, right, max_nodes, left is None)
+    except _Smaller as smaller:
+        return _includes_generic(None, smaller.args[0], max_nodes)
 
 
 def is_universal(a: Automaton, strategy: "Strategy | str" = Strategy.GENERIC,
@@ -107,7 +84,9 @@ def is_universal(a: Automaton, strategy: "Strategy | str" = Strategy.GENERIC,
 
     Decided as the inclusion of Σ* in ``a``.  The witness of a negative
     answer is the length-lex-least rejected word, ties broken by
-    alphabet order, under both engines.
+    alphabet order.  Both ``strategy`` names run the same search;
+    ``"bounded"`` first checks that ``a`` is partially ordered with
+    deterministic self-loops.
     """
     return _decide(None, a, strategy, max_nodes)
 
@@ -118,12 +97,12 @@ def includes(a: Automaton, b: Automaton,
     """Language inclusion: is every word of ``a`` accepted by ``b``?
 
     A negative witness is the length-lex-least word accepted by ``a``
-    and rejected by ``b``, ties broken by alphabet order, under both
-    engines.  The bounded engine requires the right-hand automaton to be
-    partially ordered with deterministic self-loops.  On one-letter
-    partially ordered automata the default ``GENERIC`` search is the
-    paper's polynomial walk: it stores at most |Q| + 1 pairs of subsets,
-    for |Q| the larger of the two state counts.
+    and rejected by ``b``, ties broken by alphabet order.  Both
+    ``strategy`` names run the same search; ``"bounded"`` first checks
+    that ``b`` is partially ordered with deterministic self-loops.  On
+    one-letter partially ordered automata the search is the paper's
+    polynomial walk: it stores at most |Q| + 1 pairs of subsets, for |Q|
+    the larger of the two state counts.
     """
     if tuple(a.alphabet) != tuple(b.alphabet):
         raise ValueError("inclusion requires identical alphabets")
@@ -165,8 +144,7 @@ def _includes_generic(left: Optional[Automaton], right: Automaton,
     caching rows on ``Automaton`` and stepping ``move`` through them
     slowed the bench's class-reps workload from 7,735-7,995 to
     7,159-7,455 queries/s (three paired 12 s runs on one machine, seeds
-    1-3).  The class search steps one- or two-state subsets, where a
-    row saves little over the loop.
+    1-3).
     """
     absorbing = _absorbing_accepting(right)
     union = EMPTY.union

@@ -8,8 +8,9 @@ is the finer one; its classes are regular and each class contains a
 unique shortest word, obtained by dropping letters that do not grow
 the subsequence set.
 
-The searches never build sub_k(w).  They keep its level vector: for
-each letter a, level(a) is the largest j <= k with
+``representative`` and ``class_search``, the search behind
+``triviality.is_k_r_trivial``, never build sub_k(w).  They keep its
+level vector: for each letter a, level(a) is the largest j <= k with
 sub_j(wa) = sub_j(w), and 0 when a does not occur in w.  Reading a
 letter a with L = level(a) grows sub_k(w) exactly when L < k, and
 updates the vector by
@@ -98,32 +99,33 @@ def representative(word: Sequence[str], k: int) -> Word:
     return tuple(kept)
 
 
-def class_search(left: Automaton, right: Automaton, k: int,
+def class_search(a: Automaton, k: int,
                  is_goal: Callable[[frozenset[str], frozenset[str]], bool],
                  max_nodes: int) -> Optional[Word]:
-    """Length-lex-least word w with ``is_goal(subset of left after w,
-    subset of right after representative(w, k))``, or None.
+    """Length-lex-least word w with ``is_goal(subset of a after w,
+    subset of a after representative(w, k))``, or None.
 
-    ``shortest_word`` runs over nodes (left subset, right subset, level
-    vector of w), the vector indexed by alphabet position.  The right
-    side moves only on letters that grow sub_k(w), so it reads the
-    representative.  A node fixes the nodes of every extension, so
-    words reaching the same node are interchangeable; each node is a
-    function of its word, so the search is deterministic.
+    ``shortest_word`` runs over nodes (subset after w, subset after the
+    representative, level vector of w), the vector indexed by alphabet
+    position.  The second subset moves only on letters that grow
+    sub_k(w), so it reads the representative.  A node fixes the nodes of
+    every extension, so words reaching the same node are
+    interchangeable; each node is a function of its word, so the search
+    is deterministic.
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
-    symbols = left.alphabet
+    symbols = a.alphabet
 
     def successors(node):
-        on_left, on_right, levels = node
+        on_word, on_rep, levels = node
         for index, symbol in enumerate(symbols):
             grown = _read(levels, index, k)
-            yield symbol, (left.move(on_left, symbol),
-                           on_right if grown is levels
-                           else right.move(on_right, symbol), grown)
+            yield symbol, (a.move(on_word, symbol),
+                           on_rep if grown is levels
+                           else a.move(on_rep, symbol), grown)
 
-    start = (left.initial, right.initial, (0,) * len(symbols))
+    start = (a.initial, a.initial, (0,) * len(symbols))
     return shortest_word([start], symbols, successors,
                          lambda node: is_goal(node[0], node[1]), max_nodes)
 

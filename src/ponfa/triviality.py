@@ -123,7 +123,7 @@ def is_k_r_trivial(a: Automaton, k: int, max_subsets: int = DEFAULT_SUBSET_LIMIT
                 != a.accepting.isdisjoint(there))
 
     for smaller in range(k + 1):
-        word = class_search(a, a, smaller, differ, max_subsets)
+        word = class_search(a, smaller, differ, max_subsets)
         if word is None:
             return TrivialityVerdict(True, k_used=smaller)
     rep = representative(word, k)

@@ -60,16 +60,15 @@ def test_output_is_byte_stable(extremal_path, capsys):
 
 
 def test_strategy_flag(extremal_path, capsys):
-    for strategy in ("generic", "bounded"):
-        code, out, _ = run(capsys, "universal", extremal_path,
-                           "--strategy", strategy)
-        assert code == 0
-        assert json.loads(out)["result"] is False
-    # the one-letter engine is gone: GENERIC decides those inputs
-    for strategy in ("nonsense", "unary"):
-        with pytest.raises(SystemExit) as info:
-            main(["universal", extremal_path, "--strategy", strategy])
-        assert info.value.code == 1
+    # one engine decides: the option is gone, also for the former names
+    for command in ("universal", "include", "equal"):
+        paths = [extremal_path] * (1 if command == "universal" else 2)
+        for strategy in ("generic", "bounded", "unary"):
+            with pytest.raises(SystemExit) as info:
+                main([command, *paths, "--strategy", strategy])
+            assert info.value.code == 1
+            assert "unrecognized arguments: --strategy" in \
+                capsys.readouterr().err
 
 
 def test_gen_w_prints_tokens(capsys):
@@ -348,7 +347,7 @@ def test_malformed_automaton_exits_one(tmp_path, capsys):
 
 def test_capacity_exhaustion_exits_two(extremal_path, capsys):
     code, _, err = run(capsys, "universal", extremal_path,
-                       "--strategy", "generic", "--max-subsets", "2")
+                       "--max-subsets", "2")
     assert code == 2 and err.startswith("error:")
 
 

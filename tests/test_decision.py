@@ -1,4 +1,4 @@
-"""Universality, inclusion and equivalence under both engines."""
+"""Universality, inclusion and equivalence under both strategy names."""
 
 import itertools
 import json
@@ -125,8 +125,12 @@ def test_generic_search_fits_in_its_node_budget():
 
 
 def test_bounded_search_fits_in_its_node_budget():
-    # the searches store 1,277 and 4,446 nodes
-    for k, n, budget in ((3, 3, 5000), (2, 4, 10_000)):
+    # the subset search answers within 41, 40, 259 and 2,171 subsets; a
+    # search over (word subset, representative subset, level vector)
+    # nodes ran out of the last two budgets, on witnesses of 83 and 923
+    # letters
+    for k, n, budget in ((3, 3, 5000), (2, 4, 10_000), (3, 6, 20_000),
+                         (6, 6, 5_000)):
         verdict = is_universal(build_a(k, n), strategy="bounded",
                                max_nodes=budget)
         assert not verdict.holds
@@ -141,12 +145,14 @@ def test_strategies_agree_on_rponfas():
         flags = classify(a)
         if not (flags.is_partially_ordered and flags.is_self_loop_deterministic):
             continue
-        generic = is_universal(a, strategy=Strategy.GENERIC)
         bounded = is_universal(a, strategy=Strategy.RPONFA_BOUNDED)
-        default = is_universal(a)
-        assert generic.holds == bounded.holds == default.holds
-        if not bounded.holds:
+        assert bounded == is_universal(a)
+        expected = brute_shortest_rejected(a, 8)
+        if bounded.holds:
+            assert expected is None
+        else:
             assert not accepts(a, bounded.witness)
+            assert bounded.witness == expected
         count += 1
 
 
@@ -171,6 +177,28 @@ def test_generic_witness_is_a_short_representative():
             tight = max(tight, bound)
     # the bound is met 259 times here, once by a word of 4 letters
     assert rejecting >= 1500 and tight >= 3
+
+
+def test_generic_inclusion_witness_is_a_short_representative():
+    # both languages are unions of prefix-d classes for d the larger
+    # completed depth, so a least word of one and not the other is its
+    # class's representative
+    rng = random.Random(5)
+    failed = tight = 0
+    for _ in range(3000):
+        alphabet = ("a", "b", "c")[:rng.randint(1, 3)]
+        a = random_rponfa(rng, rng.randint(1, 6), alphabet)
+        b = random_rponfa(rng, rng.randint(1, 6), alphabet)
+        verdict = includes(a, b)
+        if verdict.holds:
+            continue
+        d = max(depth(complete_automaton(a)), depth(complete_automaton(b)))
+        bound = max_representative_length(d, len(alphabet))
+        assert representative(verdict.witness, d) == verdict.witness
+        assert len(verdict.witness) <= bound
+        failed += 1
+        tight += len(verdict.witness) == bound
+    assert (failed, tight) == (1718, 151)
 
 
 def unary_reference(left, right):
@@ -315,49 +343,30 @@ def test_engines_return_the_same_witness():
         flags = classify(b)
         if not (flags.is_partially_ordered and flags.is_self_loop_deterministic):
             continue
-        generic = includes(a, b, strategy=Strategy.GENERIC)
         bounded = includes(a, b, strategy=Strategy.RPONFA_BOUNDED)
-        assert bounded.holds == generic.holds, count
-        assert bounded.witness == generic.witness, count
+        assert bounded == reference_includes(a, b), count
         count += 1
-
-
-def test_class_depth_is_computed_once(monkeypatch):
-    import ponfa.decision
-
-    calls = []
-    original = ponfa.decision.depth
-
-    def counted(a):
-        calls.append(a)
-        return original(a)
-
-    monkeypatch.setattr(ponfa.decision, "depth", counted)
-    verdict = is_universal(build_a(2, 2), strategy="bounded")
-    assert not verdict.holds and verdict.witness == build_w(2, 2)
-    assert len(calls) == 1
 
 
 def test_default_engine_does_not_classify(monkeypatch):
     import ponfa.decision
 
     calls = []
+    original = ponfa.decision.classify
 
-    def counting(name):
-        original = getattr(ponfa.decision, name)
+    def counted(a):
+        calls.append(a)
+        return original(a)
 
-        def counted(a):
-            calls.append(name)
-            return original(a)
-        return counted
-
-    for name in ("classify", "depth"):
-        monkeypatch.setattr(ponfa.decision, name, counting(name))
+    monkeypatch.setattr(ponfa.decision, "classify", counted)
     for a in (build_a(2, 2), wide_chain(100, 20)):
         assert not is_universal(a).holds
         assert includes(a, a).holds
         assert equivalent(a, a).holds
     assert calls == []
+    # the bounded name checks each right-hand side once, then searches
+    assert equivalent(build_a(2, 2), build_a(2, 2), strategy="bounded").holds
+    assert len(calls) == 2
 
 
 def test_includes_requires_identical_alphabets():
@@ -374,12 +383,17 @@ def test_includes_engines_agree():
         flags = classify(b)
         if not (flags.is_partially_ordered and flags.is_self_loop_deterministic):
             continue
-        generic = includes(a, b, strategy=Strategy.GENERIC)
         bounded = includes(a, b, strategy=Strategy.RPONFA_BOUNDED)
-        assert generic.holds == bounded.holds
+        assert bounded == includes(a, b)
         if not bounded.holds:
             assert accepts(a, bounded.witness)
             assert not accepts(b, bounded.witness)
+            d = max(depth(complete_automaton(a)),
+                    depth(complete_automaton(b)))
+            assert representative(bounded.witness, d) == bounded.witness
+        assert bounded.holds == all(
+            accepts(b, word) for word in all_words(a.alphabet, 8)
+            if accepts(a, word))
         count += 1
 
 

@@ -8,12 +8,13 @@ import pytest
 
 from ponfa import reductions
 from ponfa.core import (Automaton, AutomatonKind, CapacityError, FormatError,
-                        accepts, classify)
+                        accepts, classify, complete_automaton, depth)
 from ponfa.decision import Strategy, equivalent, is_universal
 from ponfa.ops import bisimulation_quotient
 from ponfa.reductions import (CnfFormula, Dtm, SimulationStatus, cnf_to_rponfa,
                               dtm_to_ponfa, encode_run, parse_dimacs,
                               parse_dtm, sat_brute_force, simulate)
+from ponfa.subseq import representative
 
 from oracles import format_checker_ponfa
 
@@ -157,10 +158,12 @@ def test_random_formulas_universal_iff_unsat():
         a = cnf_to_rponfa(formula)
         verdict = is_universal(a)
         assert verdict.holds == (not sat_brute_force(formula))
-        bounded = is_universal(a, strategy=Strategy.RPONFA_BOUNDED)
-        assert bounded.holds == verdict.holds
+        assert is_universal(a, strategy=Strategy.RPONFA_BOUNDED) == verdict
         if not verdict.holds:
             assert len(verdict.witness) == n
+            # an rpoNFA's least rejected word is its class's representative
+            d = depth(complete_automaton(a))
+            assert representative(verdict.witness, d) == verdict.witness
             assert formula.evaluate(tuple(b == "1" for b in verdict.witness))
 
 

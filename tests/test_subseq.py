@@ -46,7 +46,7 @@ def test_negative_bound_is_rejected_everywhere():
     a = build_a(1, 1)
     calls = [
         lambda: representative(("a",), -1),
-        lambda: class_search(a, a, -1, lambda here, there: False, 100),
+        lambda: class_search(a, -1, lambda here, there: False, 100),
         lambda: list(enumerate_minimal_representatives(("a",), -1, 2)),
         lambda: class_dfa((), -1, ("a",)),
     ]
