@@ -30,6 +30,8 @@ the paper's coNP certificate.
 input.  ``RPONFA_BOUNDED`` first checks the paper's precondition on the
 right-hand automaton, partially ordered with deterministic self-loops,
 and raises ``ValueError`` when it fails; then it runs the same search.
+An equivalence checks both automata before either inclusion runs, so
+its refusal does not depend on the verdict.
 The keyword stays until the benchmark's class-reps workload stops
 passing it (ROADMAP item 2).
 """
@@ -61,17 +63,24 @@ class _Smaller(Exception):
     """Raised with the quotient of the automaton searched."""
 
 
+def _check_strategy(strategy: "Strategy | str", *rights: Automaton) -> None:
+    """Raise ``ValueError`` for an unknown ``strategy`` name, and under
+    ``RPONFA_BOUNDED`` when a right-hand automaton is not partially
+    ordered with deterministic self-loops."""
+    if Strategy(strategy) is Strategy.RPONFA_BOUNDED:
+        for right in rights:
+            flags = classify(right)
+            if not (flags.is_partially_ordered
+                    and flags.is_self_loop_deterministic):
+                raise ValueError("the bounded engine requires the right-hand "
+                                 "automaton to be partially ordered with "
+                                 "deterministic self-loops")
+
+
 def _decide(left: Optional[Automaton], right: Automaton,
-            strategy: "Strategy | str", max_nodes: int) -> Decision:
+            max_nodes: int) -> Decision:
     """Is L(left) ⊆ L(right)?  ``left`` None stands for Σ* over the
     alphabet of ``right``."""
-    if Strategy(strategy) is Strategy.RPONFA_BOUNDED:
-        flags = classify(right)
-        if not (flags.is_partially_ordered
-                and flags.is_self_loop_deterministic):
-            raise ValueError("the bounded engine requires the right-hand "
-                             "automaton to be partially ordered with "
-                             "deterministic self-loops")
     try:
         return _includes_generic(left, right, max_nodes, left is None)
     except _Smaller as smaller:
@@ -88,7 +97,8 @@ def is_universal(a: Automaton, strategy: "Strategy | str" = Strategy.GENERIC,
     ``"bounded"`` first checks that ``a`` is partially ordered with
     deterministic self-loops.
     """
-    return _decide(None, a, strategy, max_nodes)
+    _check_strategy(strategy, a)
+    return _decide(None, a, max_nodes)
 
 
 def includes(a: Automaton, b: Automaton,
@@ -106,7 +116,8 @@ def includes(a: Automaton, b: Automaton,
     """
     if tuple(a.alphabet) != tuple(b.alphabet):
         raise ValueError("inclusion requires identical alphabets")
-    return _decide(a, b, strategy, max_nodes)
+    _check_strategy(strategy, b)
+    return _decide(a, b, max_nodes)
 
 
 class _Row(dict):
@@ -204,11 +215,16 @@ def equivalent(a: Automaton, b: Automaton,
 
     The witness of a negative answer belongs to exactly one language;
     ``direction`` records which ("first-only" or "second-only").
+    ``"bounded"`` checks both automata, each the right-hand side of one
+    inclusion, before either search runs.
     """
-    forward = includes(a, b, strategy, max_nodes)
+    if tuple(a.alphabet) != tuple(b.alphabet):
+        raise ValueError("inclusion requires identical alphabets")
+    _check_strategy(strategy, b, a)
+    forward = _decide(a, b, max_nodes)
     if not forward.holds:
         return Decision(False, forward.witness, direction="first-only")
-    backward = includes(b, a, strategy, max_nodes)
+    backward = _decide(b, a, max_nodes)
     if not backward.holds:
         return Decision(False, backward.witness, direction="second-only")
     return Decision(True)

@@ -292,6 +292,20 @@ def test_explicit_engine_requirements():
                                    else Decision(False, expected))
 
 
+def test_bounded_equivalence_checks_both_sides_first():
+    # a, a two-state cycle, accepts the odd lengths; b, an rpoNFA,
+    # accepts only the empty word, so a ⊄ b and the forward search
+    # alone would answer
+    cyclic = Automaton(("a",), ("p", "q"), ["p"], ["q"],
+                       {("p", "a"): ["q"], ("q", "a"): ["p"]})
+    empty_word = Automaton(("a",), ("e",), ["e"], ["e"], {})
+    assert equivalent(cyclic, empty_word) == Decision(
+        False, ("a",), direction="first-only")
+    for a, b in ((cyclic, empty_word), (empty_word, cyclic)):
+        with pytest.raises(ValueError, match="right-hand automaton"):
+            equivalent(a, b, strategy="bounded")
+
+
 def test_long_chain_is_decided_without_warnings(caplog):
     states = [f"s{i}" for i in range(6)]
     transitions = {}

@@ -1,5 +1,6 @@
 """Orbit analysis and definability by deterministic expressions."""
 
+import itertools
 import logging
 import random
 
@@ -9,6 +10,8 @@ from ponfa.dre import is_dre_definable
 from ponfa.extremal import build_a
 from ponfa.ops import determinize, minimize
 from ponfa.triviality import is_r_trivial
+
+from oracles import glushkov
 
 
 def loop_plus():
@@ -266,3 +269,35 @@ def test_definable_and_uncut_counts_on_random_automata(caplog):
     uncut = [record for record in caplog.records
              if "survives its cut" in record.getMessage()]
     assert (definable, len(uncut)) == (443, 114)
+
+
+def test_deterministic_glushkov_expressions_are_dre_definable():
+    # every deterministic expression over {a, b} of up to 8 nodes: ε,
+    # the letters, union, concatenation and star.  A subexpression of a
+    # deterministic expression is deterministic (its positions follow
+    # one another in it as they do in the whole), so larger ones are
+    # built from the deterministic ones alone.
+    by_size: list[list] = [[], ["", "a", "b"]]
+    shapes, languages = set(), set()
+    for size in range(1, 9):
+        if size > 1:
+            by_size.append([("*", e) for e in by_size[size - 1]] + [
+                (op, left, right) for op in "|." for i in range(1, size - 1)
+                for left in by_size[i] for right in by_size[size - 1 - i]])
+        deterministic = []
+        for expr in by_size[size]:
+            g = glushkov(expr, ("a", "b"))
+            if any(len(targets) > 1 for targets in g.transitions.values()):
+                continue
+            deterministic.append(expr)
+            shape = (frozenset(g.transitions.items()), g.accepting)
+            if shape in shapes:     # such as a* and (a*)*
+                continue
+            shapes.add(shape)
+            rows, accepting = ops._minimal_table(g, ops.DEFAULT_SUBSET_LIMIT)
+            language = (tuple(map(tuple, rows)), tuple(accepting))
+            if language not in languages:
+                languages.add(language)
+                assert is_dre_definable(g) is True, expr
+        by_size[size] = deterministic
+    assert len(languages) == 674

@@ -12,6 +12,7 @@ from ponfa.core import (Automaton, CapacityError, _all_reach_start,
                         serialize_automaton)
 from ponfa.decision import _includes_generic, is_universal
 from ponfa.dre import is_dre_definable
+from ponfa.extremal import build_a
 from ponfa.ops import (DEFAULT_SUBSET_LIMIT, INFINITE, _bits,
                        _co_deterministic, _explore, _hopcroft, _minimal_table,
                        _read, _subset_table, bisimulation_quotient, complement,
@@ -131,11 +132,31 @@ def test_subset_table_matches_a_frozenset_construction():
         automata.append(Automaton(alphabet, states, initial,
                                   rng.sample(states, rng.randint(0, n)),
                                   transitions))
+    # 20-letter chains whose subsets are single states, and whose
+    # packed rows span 2,000-4,000 bits
+    for length in (100, 150, 200):
+        alphabet = letters[:20]
+        states = [f"c{i}" for i in range(length)]
+        transitions = {(q, alphabet[(i + j) % 20]): [q]
+                       for i, q in enumerate(states) for j in range(10)}
+        transitions.update({(q, alphabet[(i + 10) % 20]): [t] for i, (q, t)
+                            in enumerate(zip(states, states[1:]))})
+        automata.append(Automaton(alphabet, states, states[:1], states[::2],
+                                  transitions))
+    # 30-40 states over 3 letters, with thousands of subsets
+    for _ in range(5):
+        n = rng.randint(30, 40)
+        states = [f"s{i}" for i in range(n)]
+        transitions = {(q, sym): rng.sample(states, rng.randint(1, 2))
+                       for q in states for sym in "abc" if rng.random() < 0.7}
+        automata.append(Automaton("abc", states, states[:1],
+                                  rng.sample(states, n // 2), transitions))
     assert sum(not a.initial for a in automata) >= 50
     assert sum(len(a.alphabet) > 20 for a in automata) >= 150
-    boundaries = 0
+    boundaries = large = 0
     for a in automata:
         subsets, table, accepting = _subset_table(a, DEFAULT_SUBSET_LIMIT)
+        large += len(subsets) >= 1000
         members, ref_table, ref_accepting = frozenset_subset_table(
             a, DEFAULT_SUBSET_LIMIT)
         assert list(map(_bits, subsets)) == list(map(sorted, members))
@@ -151,6 +172,13 @@ def test_subset_table_matches_a_frozenset_construction():
                     construction(a, count - 1)
             boundaries += 1
     assert len(automata[0].states) == 5000 and boundaries >= 350
+    assert large == 5   # the 5,000-state chain and four random NFAs
+    # verify_extremal's cap on build_a(1, 239): 239 letters of 717 states
+    cap = DEFAULT_SUBSET_LIMIT // 239
+    for construction in (_subset_table, frozenset_subset_table):
+        with pytest.raises(CapacityError, match=(
+                f"^subset construction exceeded {cap} states$")):
+            construction(build_a(1, 239), cap)
 
 
 @pytest.mark.parametrize("a, message", [
