@@ -19,10 +19,9 @@ The automaton classes recognised by ``classify`` form a small lattice:
 partial order, equivalently that every cycle in the transition graph
 is a self-loop.  ``_ordered_states`` finds such a cycle or orders the
 states, each after its targets, in one Kahn pass for classification,
-depth and the quotient.  The Tarjan core runs only on the integer
-tables of the triviality, orbit and word-counting passes, and the first
-two skip it on a table that ``_all_reach_start``, one walk back to
-state 0, finds strongly connected.
+depth and the quotient.  The Tarjan core runs only on integer tables:
+for word counting, on a table cut by the orbit pass, and behind
+``_proper_orbits``, the cycles both the triviality and orbit passes read.
 """
 
 from __future__ import annotations
@@ -258,12 +257,12 @@ def accepts(a: Automaton, word: Iterable[str]) -> bool:
 
 
 def _strongly_connected_components(
-        vertices: Iterable[int], edges: Sequence[Sequence[int]]
+        vertices: Iterable[int], edges: Sequence[Sequence[int | None]]
         ) -> list[list[int]]:
     """Iterative Tarjan over the integer graph whose vertex ``v`` has the
-    successors ``edges[v]``, with its roots taken from ``vertices``.
-    Components come out in reverse topological order, the same with or
-    without self-loops and repeated edges."""
+    successors ``edges[v]``, a ``None`` being no edge, with its roots
+    taken from ``vertices``.  Components come out in reverse topological
+    order, the same with or without self-loops and repeated edges."""
     index = [-1] * len(edges)
     low = [0] * len(edges)
     on_stack = [False] * len(edges)
@@ -286,6 +285,8 @@ def _strongly_connected_components(
             while ei < len(targets):
                 w = targets[ei]
                 ei += 1
+                if w is None:
+                    continue
                 if index[w] < 0:
                     work.append((v, ei))
                     work.append((w, 0))
@@ -313,10 +314,7 @@ def _strongly_connected_components(
 
 def _all_reach_start(rows: Sequence[Sequence[int | None]]) -> bool:
     """Whether every state of a table reaches state 0, found by one walk
-    back from 0 over the predecessor lists; a ``None`` cell is no move.
-    On a table whose every state is reachable from 0, as on every table
-    the triviality and orbit passes read, True means that the table is
-    one strongly connected component."""
+    back from 0 over the predecessor lists; a ``None`` cell is no move."""
     sources: list[list[int]] = [[] for _ in rows]
     for q, row in enumerate(rows):
         for t in row:
@@ -331,6 +329,18 @@ def _all_reach_start(rows: Sequence[Sequence[int | None]]) -> bool:
                 seen[q] = True
                 order.append(q)
     return len(order) == len(rows)
+
+
+def _proper_orbits(rows: Sequence[Sequence[int | None]]) -> list[list[int]]:
+    """The strongly connected components of two or more states of a
+    table whose every state is reachable from state 0, each in state
+    order, in the Tarjan core's order; a ``None`` cell is no move.  On
+    such a table ``_all_reach_start`` means one component, so the
+    Tarjan core runs only when that walk fails."""
+    if len(rows) > 1 and _all_reach_start(rows):
+        return [list(range(len(rows)))]
+    return [sorted(component) for component in _strongly_connected_components(
+        range(len(rows)), rows) if len(component) > 1]
 
 
 def _ordered_states(a: Automaton) -> list[str] | None:

@@ -15,20 +15,19 @@ There the decision proceeds by cutting, at the accepting states, the
 consistent symbols, those on which all accepting states move to one
 shared target.  With no consistent symbol there is nothing to cut and
 the language is not definable, Brüggemann-Klein and Wood's rule for a
-strongly connected automaton; if cutting cannot break the orbit the
-language is not definable either.  The cut is where this
-implementation goes beyond the plain restatement of the criterion, and
-the no-progress verdict is logged when it decides.  Every table the
-decision reads has all its states reachable from its start, so one
-walk back to the start, ``core._all_reach_start``, tells whether it is
-one orbit; the Tarjan core finds the orbits of the other tables and of
-a cut one.
+strongly connected automaton.  If cutting cannot break the orbit the
+language is not definable either; the cut is where this implementation
+goes beyond the plain restatement of the criterion, so that verdict
+alone is logged.  Every table the decision reads has all its states
+reachable from its start, and ``core._proper_orbits`` finds its orbits
+of two or more states; a table with none is R-trivial, so definable.
+A cut may strand states, so the Tarjan core finds a cut table's orbits.
 
-The recursion runs only on the orbit languages of orbits with two or
-more states; each has a minimal DFA smaller than the automaton it came
-from, so the nesting is bounded by the state count.  Verdicts are not
-memoised: equal orbit languages are rare enough that a key per call
-costs more than it saves.
+The recursion runs only on the orbit languages of these orbits; each
+has a minimal DFA smaller than the automaton it came from, so the
+nesting is bounded by the state count.  Verdicts are not memoised:
+equal orbit languages are rare enough that a key per call costs more
+than it saves.
 """
 
 from __future__ import annotations
@@ -36,21 +35,12 @@ from __future__ import annotations
 import logging
 from typing import Optional
 
-from .core import Automaton, _all_reach_start, _strongly_connected_components
+from .core import Automaton, _proper_orbits, _strongly_connected_components
 from .ops import DEFAULT_SUBSET_LIMIT, _explore, _hopcroft, _minimal_table
 
 logger = logging.getLogger(__name__)
 
 Table = list[list[Optional[int]]]   # a DFA's rows: start 0, None: no move
-
-
-def _orbits(rows: Table) -> list[list[int]]:
-    """The orbits of a table, in the reverse topological order of
-    ``core._strongly_connected_components``, each in state order.  A
-    state with only a self-loop is its own orbit; so is a state with no
-    cycle at all, the two differing only in their orbit language."""
-    return [sorted(component) for component in _strongly_connected_components(
-        range(len(rows)), [[t for t in row if t is not None] for row in rows])]
 
 
 def _gates(rows: Table, accepting: list[bool], orbit: list[int]
@@ -101,40 +91,43 @@ def _orbit_language(rows: Table, orbit: list[int], start: int,
 
 def _definable(d: tuple[Table, list[bool]] | None) -> bool:
     """Whether the language of a trimmed minimal DFA, None standing for
-    the empty language, is definable.  Every state of the table is
-    reachable from state 0, so ``core._all_reach_start`` tells when it
-    is one orbit without the Tarjan core; one with no consistent symbol
-    is not definable, decided without a cut or a second orbit pass."""
-    if d is None or len(d[0]) <= 1:
+    the empty language, is definable: at once when the table has no
+    orbit of two or more states, else by the orbit criterion, after a
+    cut when the table is one orbit."""
+    if d is None:
         return True
     rows, accepting = d
-    found = ([list(range(len(rows)))] if _all_reach_start(rows)
-             else _orbits(rows))
-    if len(found) == 1:
+    found = _proper_orbits(rows)
+    if not found:
+        return True
+    if found == [list(range(len(rows)))]:
         # the whole automaton is one strongly connected component, whose
         # gates, its accepting states, agree; cut the symbols on which
         # every accepting state moves to one shared target, to break it
         final = [q for q, accepts in enumerate(accepting) if accepts]
         cut = [len({rows[q][s] for q in final}) == 1
                and rows[final[0]][s] is not None for s in range(len(rows[0]))]
-        if any(cut):
-            rows = [[None if accepts and cut[s] else t
-                     for s, t in enumerate(row)]
-                    for row, accepts in zip(rows, accepting)]
-            found = _orbits(rows)
-        if len(found) == 1:
+        if not any(cut):    # the criterion's own rule: not definable
+            return False
+        rows = [[None if accepts and cut[s] else t
+                 for s, t in enumerate(row)]
+                for row, accepts in zip(rows, accepting)]
+        # a cut may strand states, where the walk would see one orbit
+        found = [sorted(component) for component in
+                 _strongly_connected_components(range(len(rows)), rows)
+                 if len(component) > 1]
+        if found == [list(range(len(rows)))]:
             logger.warning(
                 "strongly connected automaton with %d states survives its "
                 "cut; deciding not definable", len(rows))
             return False
+    # only orbits of two or more states are checked: a single state's
+    # one gate agrees with itself, and its orbit language has a minimal
+    # DFA of at most one state, which is always definable
     faces = [_gates(rows, accepting, orbit) for orbit in found]
     if not all(agree for _, agree in faces):
         return False
     for orbit, (gates, _agree) in zip(found, faces):
-        # the orbit language of a single state has a minimal DFA of at
-        # most one state, which is always definable
-        if len(orbit) == 1:
-            continue
         for start in orbit:
             # an orbit of m states, fewer than d has, determinizes to at
             # most m + 1 subsets, so no budget is needed

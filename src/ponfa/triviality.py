@@ -18,8 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .core import (Automaton, CapacityError, Word, _all_reach_start,
-                   _strongly_connected_components, accepts, classify)
+from .core import (Automaton, CapacityError, Word, _proper_orbits, accepts,
+                   classify)
 from .ops import (DEFAULT_SUBSET_LIMIT, _minimal_table, determinize,
                   minimize, shortest_word)
 from .subseq import SubseqSet, class_search, representative, sub_k
@@ -69,10 +69,8 @@ def is_r_trivial(a: Automaton,
     """Order-triviality of the language.
 
     Decided on the minimal DFA, as ``ops._minimal_table``'s integer
-    table: the language qualifies exactly when it is partially ordered.
-    A table of two or more states that ``core._all_reach_start`` finds
-    strongly connected is one proper cycle through state 0; any other
-    table has its components found by the Tarjan core.
+    table: the language qualifies exactly when it is partially ordered,
+    that is when ``core._proper_orbits`` finds no orbit.
     A subset construction beyond ``max_subsets`` subsets raises
     ``CapacityError``.
     On failure the verdict exhibits a state on a proper cycle through
@@ -80,24 +78,18 @@ def is_r_trivial(a: Automaton,
     are the shortest of their kind, ties broken by alphabet order.
     """
     rows, _accepting = _minimal_table(a, max_subsets)
-    if len(rows) > 1 and _all_reach_start(rows):
-        # every state is reachable from 0, so the table is one component
-        component = range(len(rows))
-    else:
-        cyclic = [c for c in _strongly_connected_components(
-            range(len(rows)), rows) if len(c) > 1]
-        if not cyclic:
-            return TrivialityVerdict(True)
-        component = set(min(cyclic, key=min))
-    anchor = min(component)
+    orbits = _proper_orbits(rows)
+    if not orbits:
+        return TrivialityVerdict(True)
+    anchor = min(orbit[0] for orbit in orbits)
     # every state of a minimized automaton is reachable
     access = shortest_word([0], a.alphabet, lambda q: zip(a.alphabet, rows[q]),
                            lambda q: q == anchor)
     # the loop leaves the anchor and comes back, -1 standing for its
-    # return, inside the component; no self-loop can shorten it
+    # return; no path back leaves the orbit, no self-loop shortens it
     loop = shortest_word([anchor], a.alphabet, lambda q: [
         (sym, -1 if t == anchor else t) for sym, t in zip(a.alphabet, rows[q])
-        if t in component and t != q], lambda q: q < 0)
+        if t != q], lambda q: q < 0)
     return TrivialityVerdict(False, cycle_words=(access, access + loop))
 
 

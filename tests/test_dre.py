@@ -4,7 +4,7 @@ import itertools
 import logging
 import random
 
-from ponfa import dre, ops, triviality
+from ponfa import core, dre, ops, triviality
 from ponfa.core import Automaton, classify
 from ponfa.dre import is_dre_definable
 from ponfa.extremal import build_a
@@ -43,18 +43,36 @@ def test_definable_without_being_order_trivial():
 
 
 def test_second_last_letter_is_not_definable(caplog):
+    # one orbit with no consistent symbol: nothing is cut, and the rule
+    # for a strongly connected automaton decides without a warning
     with caplog.at_level(logging.WARNING, logger="ponfa.dre"):
         assert is_dre_definable(second_last_b()) is False
-    assert any("survives its cut" in record.message
-               for record in caplog.records)
+    assert caplog.records == []
+
+
+def test_orbit_that_survives_its_cut_is_logged(caplog):
+    # a is consistent, both states moving to s1 on it; with a cut at the
+    # accepting states, s0 -b-> s1 -c-> s0 still makes one orbit
+    machine = Automaton(
+        ("a", "b", "c"), ("s0", "s1"), ["s0"], ["s0", "s1"],
+        {("s0", "a"): ["s1"], ("s0", "b"): ["s1"], ("s1", "a"): ["s1"],
+         ("s1", "c"): ["s0"]})
+    with caplog.at_level(logging.WARNING, logger="ponfa.dre"):
+        assert is_dre_definable(machine) is False
+    assert [record.getMessage() for record in caplog.records] == [
+        "strongly connected automaton with 2 states survives its cut; "
+        "deciding not definable"]
 
 
 def orbit_faces(d):
-    """Each orbit of a named DFA's table, with its gates and whether
-    they agree, as ``dre._orbits`` and ``dre._gates`` find them."""
+    """Each orbit of a named DFA's table, one-state orbits included,
+    with its gates and whether they agree, as ``dre._gates`` finds them.
+    The states need not be reachable from the start, so the orbits are
+    the Tarjan core's components, each in state order."""
     rows, accepting = ops._read(d)[:2]
     return [(orbit, *dre._gates(rows, accepting, orbit))
-            for orbit in dre._orbits(rows)]
+            for orbit in map(sorted, core._strongly_connected_components(
+                range(len(rows)), rows))]
 
 
 def test_orbit_decomposition_shape():
@@ -124,7 +142,7 @@ def test_each_recursive_call_gets_a_smaller_automaton(monkeypatch):
 
 
 def test_every_table_read_is_reachable_from_its_start(monkeypatch):
-    # the precondition of core._all_reach_start, on the minimal tables
+    # the precondition of core._proper_orbits, on the minimal tables
     # both deciders read and on every table the recursion receives
     recurse = dre._definable
     tables = []
@@ -167,6 +185,27 @@ def test_ordered_minimal_automaton_builds_no_orbit_language(monkeypatch):
         monkeypatch.setattr(module, "_hopcroft", counted)
     assert is_dre_definable(build_a(4, 4)) is True
     assert len(built) == 1
+
+
+def test_ordered_languages_check_no_orbit(monkeypatch):
+    # an R-trivial minimal DFA has no orbit of two or more states, so
+    # it is definable before any gate or orbit language is looked at
+    calls = []
+
+    def counted(name):
+        original = getattr(dre, name)
+
+        def call(*args):
+            calls.append(name)
+            return original(*args)
+        return call
+
+    for name in ("_gates", "_orbit_language"):
+        monkeypatch.setattr(dre, name, counted(name))
+    for k in range(1, 5):
+        for n in range(1, 5):
+            assert is_dre_definable(build_a(k, n)) is True
+    assert calls == []
 
 
 def test_deciders_build_no_intermediate_dfa(monkeypatch):
@@ -251,7 +290,7 @@ def test_random_ordered_machines_are_definable():
 
 def test_definable_and_uncut_counts_on_random_automata(caplog):
     # how many of 600 seeded inputs are definable, and how many reach a
-    # strongly connected automaton that survives its cut: a change to
+    # strongly connected automaton that survives a cut: a change to
     # the recursion's order or to the cut moves one of the two
     rng = random.Random(2026)
     definable = 0
@@ -268,7 +307,7 @@ def test_definable_and_uncut_counts_on_random_automata(caplog):
             definable += is_dre_definable(machine)
     uncut = [record for record in caplog.records
              if "survives its cut" in record.getMessage()]
-    assert (definable, len(uncut)) == (443, 114)
+    assert (definable, len(uncut)) == (443, 6)
 
 
 def test_deterministic_glushkov_expressions_are_dre_definable():

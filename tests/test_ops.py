@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from ponfa import dre, ops, triviality
+from ponfa import core, dre, ops
 from ponfa.core import (Automaton, CapacityError, _all_reach_start,
                         _strongly_connected_components, accepts, classify,
                         serialize_automaton)
@@ -454,16 +454,15 @@ def test_reach_walk_keeps_every_verdict(monkeypatch, caplog):
         walked.append(_all_reach_start(rows))
         return walked[-1]
 
-    for module in (triviality, dre):
-        monkeypatch.setattr(module, "_all_reach_start", counted)
+    # core._proper_orbits, the walk's one caller, looks it up per call
+    monkeypatch.setattr(core, "_all_reach_start", counted)
     walk = answers()
-    for module in (triviality, dre):
-        monkeypatch.setattr(module, "_all_reach_start", lambda rows: False)
+    monkeypatch.setattr(core, "_all_reach_start", lambda rows: False)
     assert answers() == walk
-    # the walk answers both ways, 979 of 3,122 times True, and 507
-    # warnings are logged
+    # the walk answers both ways, 979 of 3,122 times True, and 22 cuts
+    # leave one orbit, each logged once
     assert 800 <= sum(walked) <= len(walked) - 1500
-    assert len(walk[1]) >= 400
+    assert len(walk[1]) == 22
 
 
 def test_suffix_b_never_reaches_tarjan(monkeypatch):
@@ -473,7 +472,8 @@ def test_suffix_b_never_reaches_tarjan(monkeypatch):
         calls.append(edges)
         return _strongly_connected_components(vertices, edges)
 
-    for module in (triviality, dre):
+    # core._proper_orbits, and dre after a cut
+    for module in (core, dre):
         monkeypatch.setattr(module, "_strongly_connected_components", counted)
     rng = random.Random(67)
     for m in range(1, 9):
@@ -482,6 +482,51 @@ def test_suffix_b_never_reaches_tarjan(monkeypatch):
             assert is_r_trivial(a).cycle_words == ((), loop)
             assert is_dre_definable(a) is False
     assert calls == []
+
+
+def reachable_table(rows):
+    """The rows reachable from state 0, renumbered in the order found."""
+    reach = [0]
+    for q in reach:     # the list grows while it is read
+        for t in rows[q]:
+            if t is not None and t not in reach:
+                reach.append(t)
+    number = {q: i for i, q in enumerate(reach)}
+    return [[None if t is None else number[t] for t in rows[q]]
+            for q in reach]
+
+
+def test_proper_orbits_are_tarjans_cyclic_components():
+    rng = random.Random(73)
+    tables = []
+    for _ in range(600):
+        n = rng.randint(1, 12)
+        width = rng.randint(1, 3)
+        tables.append(reachable_table([[rng.randrange(n) for _ in range(width)]
+                                       for _ in range(n)]))
+    for _ in range(600):
+        alphabet = ("a", "b", "c")[:rng.randint(1, 3)]
+        a = random_nfa(rng, rng.randint(1, 7), alphabet)
+        trimmed = dre._trim(*_minimal_table(a, DEFAULT_SUBSET_LIMIT))
+        if trimmed is not None:
+            tables.append(trimmed[0])
+    for m in range(1, 9):
+        tables.append(_minimal_table(suffix_b(m), DEFAULT_SUBSET_LIMIT)[0])
+    strong = split = ordered = missing = 0
+    for rows in tables:
+        # Tarjan skips a None cell as it skips a missing edge
+        edges = [[t for t in row if t is not None] for row in rows]
+        components = _strongly_connected_components(range(len(rows)), edges)
+        assert components == _strongly_connected_components(
+            range(len(rows)), rows)
+        orbits = core._proper_orbits(rows)
+        assert orbits == [sorted(c) for c in components if len(c) > 1]
+        strong += len(components) == 1 < len(rows)
+        split += len(orbits) >= 1 and len(components) > 1
+        ordered += not orbits
+        missing += any(None in row for row in rows)
+    assert len(tables) >= 1000
+    assert min(strong, split, ordered, missing) >= 100
 
 
 def refused_variants():

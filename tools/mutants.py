@@ -14,7 +14,13 @@ one of:
 * a comparison swapped (``==``/``!=``, ``<``/``<=``, ``>``/``>=``,
   ``in``/``not in``, ``is``/``is not``);
 * a ``not`` dropped;
-* ``and`` and ``or`` swapped.
+* ``and`` and ``or`` swapped;
+* an arithmetic or bit operator swapped, in an expression or an
+  augmented assignment such as ``|=``: ``+``/``-``, ``|``/``^``,
+  ``<<``/``>>``, and ``&`` turned into ``|``.
+
+Annotations hold no sites: under postponed evaluation they never run,
+so a ``|`` in ``int | None`` would only make an equivalent mutant.
 
 Each mutant runs the tier-1 tests of the copy, stopping at the first
 failure, and prints one line: ``killed``, ``survived`` or ``timeout``,
@@ -50,27 +56,42 @@ MEMORY_CAP = 2 << 30
 SWAPS = {ast.Eq: ast.NotEq, ast.NotEq: ast.Eq, ast.Lt: ast.LtE,
          ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt,
          ast.In: ast.NotIn, ast.NotIn: ast.In, ast.Is: ast.IsNot,
-         ast.IsNot: ast.Is, ast.And: ast.Or, ast.Or: ast.And}
+         ast.IsNot: ast.Is, ast.And: ast.Or, ast.Or: ast.And,
+         ast.Add: ast.Sub, ast.Sub: ast.Add, ast.BitOr: ast.BitXor,
+         ast.BitXor: ast.BitOr, ast.BitAnd: ast.BitOr,
+         ast.LShift: ast.RShift, ast.RShift: ast.LShift}
 
 SYMBOLS = {ast.Eq: "==", ast.NotEq: "!=", ast.Lt: "<", ast.LtE: "<=",
            ast.Gt: ">", ast.GtE: ">=", ast.In: "in", ast.NotIn: "not in",
-           ast.Is: "is", ast.IsNot: "is not", ast.And: "and", ast.Or: "or"}
+           ast.Is: "is", ast.IsNot: "is not", ast.And: "and", ast.Or: "or",
+           ast.Add: "+", ast.Sub: "-", ast.BitOr: "|", ast.BitXor: "^",
+           ast.BitAnd: "&", ast.LShift: "<<", ast.RShift: ">>"}
 
 
 def sites(tree: ast.Module) -> list[tuple[int, int, int, str]]:
     """Every mutation site as ``(line, node number in walk order,
     operand number, description)``; walk order is fixed for a given
     source."""
-    def swap(op: ast.AST) -> str:
-        return f"{SYMBOLS[type(op)]!r} -> {SYMBOLS[SWAPS[type(op)]]!r}"
+    def swap(op: ast.AST, suffix: str = "") -> str:
+        return (f"{SYMBOLS[type(op)] + suffix!r} -> "
+                f"{SYMBOLS[SWAPS[type(op)]] + suffix!r}")
 
+    annotations = {id(inner) for node in ast.walk(tree)
+                   for field in ("annotation", "returns")
+                   if getattr(node, field, None) is not None
+                   for inner in ast.walk(getattr(node, field))}
     found = []
     for number, node in enumerate(ast.walk(tree)):
+        if id(node) in annotations:
+            continue
         if isinstance(node, ast.Compare):
             for i, op in enumerate(node.ops):
                 found.append((node.lineno, number, i, swap(op)))
-        elif isinstance(node, ast.BoolOp):
-            found.append((node.lineno, number, 0, swap(node.op)))
+        elif isinstance(node, (ast.BoolOp, ast.BinOp)):
+            if type(node.op) in SWAPS:
+                found.append((node.lineno, number, 0, swap(node.op)))
+        elif isinstance(node, ast.AugAssign) and type(node.op) in SWAPS:
+            found.append((node.lineno, number, 0, swap(node.op, "=")))
         elif isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.Not):
             found.append((node.lineno, number, 0, "'not' dropped"))
     return found
@@ -83,7 +104,7 @@ def mutate(tree: ast.Module, target: int, operand: int) -> None:
     node = nodes[target]
     if isinstance(node, ast.Compare):
         node.ops[operand] = SWAPS[type(node.ops[operand])]()
-    elif isinstance(node, ast.BoolOp):
+    elif isinstance(node, (ast.BoolOp, ast.BinOp, ast.AugAssign)):
         node.op = SWAPS[type(node.op)]()
     else:   # a `not`: its operand takes its place
         for parent in nodes:
