@@ -15,30 +15,36 @@ There the decision proceeds by cutting, at the accepting states, the
 consistent symbols, those on which all accepting states move to one
 shared target.  With no consistent symbol there is nothing to cut and
 the language is not definable, Brüggemann-Klein and Wood's rule for a
-strongly connected automaton.  If cutting cannot break the orbit the
-language is not definable either; the cut is where this implementation
-goes beyond the plain restatement of the criterion, so that verdict
-alone is logged.  Every table the decision reads has all its states
-reachable from its start, and ``core._proper_orbits`` finds its orbits
-of two or more states; a table with none is R-trivial, so definable.
-A cut may strand states, so the Tarjan core finds a cut table's orbits.
+strongly connected automaton.  Otherwise the cut table is decided like
+any other: by their theorem, with the consistent symbols as the cut,
+the language is definable exactly when the cut table has the orbit
+property and the orbit languages of its orbits are definable.  A cut
+that leaves one orbit needs no rule of its own: that orbit's gates are
+its accepting states, which agree, since no move leaves the orbit, and
+the recursion runs on its orbit language.  Every table the decision
+reads has all its states reachable from its start, and
+``core._proper_orbits`` finds its orbits of two or more states; a table
+with none is R-trivial, so definable.  A cut may strand states, so the
+Tarjan core finds a cut table's orbits.
 
-The recursion runs only on the orbit languages of these orbits; each
-has a minimal DFA smaller than the automaton it came from, so the
-nesting is bounded by the state count.  Verdicts are not memoised:
-equal orbit languages are rare enough that a key per call costs more
-than it saves.
+The recursion runs only on the orbit languages of these orbits, one per
+orbit, read from the orbit's first state.  Every start in an orbit
+reaches the same states, so it minimizes to the same table with another
+start state, and the decision reads that table's graph, never which
+state is the start.  Each nested table has fewer states than the one it
+came from, or, after a cut, as many states and fewer moves, since the
+cut takes a move from every accepting state and minimizing and trimming
+add none; so the pair (states, moves) falls at every level and the
+nesting ends.  Verdicts are not memoised: equal orbit languages are
+rare enough that a key per call costs more than it saves.
 """
 
 from __future__ import annotations
 
-import logging
 from typing import Optional
 
 from .core import Automaton, _proper_orbits, _strongly_connected_components
 from .ops import DEFAULT_SUBSET_LIMIT, _explore, _hopcroft, _minimal_table
-
-logger = logging.getLogger(__name__)
 
 Table = list[list[Optional[int]]]   # a DFA's rows: start 0, None: no move
 
@@ -72,15 +78,17 @@ def _trim(rows: Table, accepting: list[bool]
             accepting[:dead] + accepting[dead + 1:])
 
 
-def _orbit_language(rows: Table, orbit: list[int], start: int,
-                    gates: list[int]) -> tuple[Table, list[bool]] | None:
+def _orbit_language(rows: Table, orbit: list[int], gates: list[int]
+                    ) -> tuple[Table, list[bool]] | None:
     """The trimmed minimal DFA of the language read inside the orbit
-    from ``start`` to a gate.  It determinizes to the orbit states
-    reachable from ``start``, in breadth-first order, and a rejecting
-    sink, None, that takes the moves leaving the orbit or missing."""
+    from its first state to a gate.  It determinizes to the orbit's
+    states, in breadth-first order, and a rejecting sink, None, that
+    takes the moves leaving the orbit or missing.  Any other start in
+    the orbit reaches the same states, so it minimizes to the same
+    table with another start state, and gets the same verdict."""
     members = set(orbit)
-    sink: list[Optional[int]] = [None] * len(rows[start])
-    graph = _explore([start], lambda q: [
+    sink: list[Optional[int]] = [None] * len(rows[orbit[0]])
+    graph = _explore([orbit[0]], lambda q: [
         (s, t if t in members else None)    # None is no member
         for s, t in enumerate(sink if q is None else rows[q])])
     number = {q: i for i, q in enumerate(graph)}
@@ -93,7 +101,8 @@ def _definable(d: tuple[Table, list[bool]] | None) -> bool:
     """Whether the language of a trimmed minimal DFA, None standing for
     the empty language, is definable: at once when the table has no
     orbit of two or more states, else by the orbit criterion, after a
-    cut when the table is one orbit."""
+    cut when the table is one orbit.  Each nested call gets a table
+    with fewer states, or as many states and fewer moves."""
     if d is None:
         return True
     rows, accepting = d
@@ -116,24 +125,16 @@ def _definable(d: tuple[Table, list[bool]] | None) -> bool:
         found = [sorted(component) for component in
                  _strongly_connected_components(range(len(rows)), rows)
                  if len(component) > 1]
-        if found == [list(range(len(rows)))]:
-            logger.warning(
-                "strongly connected automaton with %d states survives its "
-                "cut; deciding not definable", len(rows))
-            return False
     # only orbits of two or more states are checked: a single state's
     # one gate agrees with itself, and its orbit language has a minimal
     # DFA of at most one state, which is always definable
     faces = [_gates(rows, accepting, orbit) for orbit in found]
     if not all(agree for _, agree in faces):
         return False
-    for orbit, (gates, _agree) in zip(found, faces):
-        for start in orbit:
-            # an orbit of m states, fewer than d has, determinizes to at
-            # most m + 1 subsets, so no budget is needed
-            if not _definable(_orbit_language(rows, orbit, start, gates)):
-                return False
-    return True
+    # an orbit of m states determinizes to at most m + 1 subsets, so
+    # its orbit language needs no budget
+    return all(_definable(_orbit_language(rows, orbit, gates))
+               for orbit, (gates, _agree) in zip(found, faces))
 
 
 def is_dre_definable(a: Automaton,

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .core import Automaton, Word
 from .ops import shortest_word
@@ -99,11 +99,9 @@ def representative(word: Sequence[str], k: int) -> Word:
     return tuple(kept)
 
 
-def class_search(a: Automaton, k: int,
-                 is_goal: Callable[[frozenset[str], frozenset[str]], bool],
-                 max_nodes: int) -> Optional[Word]:
-    """Length-lex-least word w with ``is_goal(subset of a after w,
-    subset of a after representative(w, k))``, or None.
+def class_search(a: Automaton, k: int, max_nodes: int) -> Optional[Word]:
+    """Length-lex-least word w that ``a`` accepts and representative(w, k)
+    does not, or the other way round, or None.
 
     ``shortest_word`` runs over nodes (subset after w, subset after the
     representative, level vector of w), the vector indexed by alphabet
@@ -126,8 +124,9 @@ def class_search(a: Automaton, k: int,
                            else a.move(on_rep, symbol), grown)
 
     start = (a.initial, a.initial, (0,) * len(symbols))
-    return shortest_word([start], symbols, successors,
-                         lambda node: is_goal(node[0], node[1]), max_nodes)
+    return shortest_word([start], symbols, successors, lambda node: (
+        a.accepting.isdisjoint(node[0]) != a.accepting.isdisjoint(node[1])),
+        max_nodes)
 
 
 def max_representative_length(k: int, alphabet_size: int) -> int:

@@ -109,13 +109,8 @@ def is_k_r_trivial(a: Automaton, k: int, max_subsets: int = DEFAULT_SUBSET_LIMIT
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
-
-    def differ(here: frozenset[str], there: frozenset[str]) -> bool:
-        return (a.accepting.isdisjoint(here)
-                != a.accepting.isdisjoint(there))
-
     for smaller in range(k + 1):
-        word = class_search(a, smaller, differ, max_subsets)
+        word = class_search(a, smaller, max_subsets)
         if word is None:
             return TrivialityVerdict(True, k_used=smaller)
     rep = representative(word, k)

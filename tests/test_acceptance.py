@@ -25,15 +25,11 @@ from ponfa.subseq import max_representative_length, representative, sub_k
 from ponfa.triviality import (is_k_r_trivial, is_k_r_trivial_oracle,
                               is_r_trivial)
 
+from automata import all_words, loop_plus, second_last_b
 from oracles import rk_signature, sim_k, sim_rk
 
 
 # ---------------------------------------------------------------- helpers
-
-def all_words(alphabet, max_len):
-    for length in range(max_len + 1):
-        yield from itertools.product(alphabet, repeat=length)
-
 
 def random_nfa(rng, n_states, alphabet):
     states = [f"s{i}" for i in range(n_states)]
@@ -104,30 +100,6 @@ def random_unary_po(rng, n_states):
             transitions[(st, "a")] = sorted(targets)
     accepting = rng.sample(states, rng.randint(1, n_states))
     return Automaton(("a",), states, [states[0]], accepting, transitions)
-
-
-def loop_plus():
-    # words ending in a after stripping trailing b-blocks: b*a(b*a)*
-    return Automaton(
-        ("a", "b"),
-        ("p", "q"),
-        ["p"],
-        ["q"],
-        {("p", "b"): ["p"], ("p", "a"): ["q"],
-         ("q", "b"): ["p"], ("q", "a"): ["q"]},
-    )
-
-
-def second_last_b():
-    # (a+b)*b(a+b): second-to-last letter is b
-    return Automaton(
-        ("a", "b"),
-        ("s", "t", "u"),
-        ["s"],
-        ["u"],
-        {("s", "a"): ["s"], ("s", "b"): ["s", "t"],
-         ("t", "a"): ["u"], ("t", "b"): ["u"]},
-    )
 
 
 # one-cell machine that accepts the input 1 in a single step

@@ -1,6 +1,5 @@
 """Universality, inclusion and equivalence under both strategy names."""
 
-import itertools
 import json
 import logging
 import random
@@ -19,10 +18,7 @@ from ponfa.reductions import (CnfFormula, Dtm, cnf_to_rponfa, dtm_to_ponfa,
                               sat_brute_force)
 from ponfa.subseq import max_representative_length, representative
 
-
-def all_words(alphabet, max_len):
-    for size in range(max_len + 1):
-        yield from itertools.product(alphabet, repeat=size)
+from automata import all_words
 
 
 def brute_shortest_rejected(a, max_len):

@@ -1,6 +1,5 @@
 """Orbit analysis and definability by deterministic expressions."""
 
-import itertools
 import logging
 import random
 
@@ -11,29 +10,8 @@ from ponfa.extremal import build_a
 from ponfa.ops import determinize, minimize
 from ponfa.triviality import is_r_trivial
 
+from automata import loop_plus, second_last_b, suffix_b
 from oracles import glushkov
-
-
-def loop_plus():
-    return Automaton(
-        ("a", "b"),
-        ("p", "q"),
-        ["p"],
-        ["q"],
-        {("p", "b"): ["p"], ("p", "a"): ["q"],
-         ("q", "b"): ["p"], ("q", "a"): ["q"]},
-    )
-
-
-def second_last_b():
-    return Automaton(
-        ("a", "b"),
-        ("s", "t", "u"),
-        ["s"],
-        ["u"],
-        {("s", "a"): ["s"], ("s", "b"): ["s", "t"],
-         ("t", "a"): ["u"], ("t", "b"): ["u"]},
-    )
 
 
 def test_definable_without_being_order_trivial():
@@ -42,26 +20,52 @@ def test_definable_without_being_order_trivial():
     assert is_r_trivial(a).holds is False
 
 
-def test_second_last_letter_is_not_definable(caplog):
+def test_second_last_letter_is_not_definable():
     # one orbit with no consistent symbol: nothing is cut, and the rule
-    # for a strongly connected automaton decides without a warning
-    with caplog.at_level(logging.WARNING, logger="ponfa.dre"):
-        assert is_dre_definable(second_last_b()) is False
-    assert caplog.records == []
+    # for a strongly connected automaton decides
+    assert is_dre_definable(second_last_b()) is False
 
 
-def test_orbit_that_survives_its_cut_is_logged(caplog):
+def counted_orbit_languages(monkeypatch):
+    """Route ``dre._orbit_language`` through a counter, and return the
+    list of orbits it was called on."""
+    orbits = []
+    build = dre._orbit_language
+
+    def counted(rows, orbit, *rest):
+        orbits.append(orbit)
+        return build(rows, orbit, *rest)
+
+    monkeypatch.setattr(dre, "_orbit_language", counted)
+    return orbits
+
+
+def test_orbit_that_survives_its_cut_is_decided_by_its_language(
+        monkeypatch, caplog):
     # a is consistent, both states moving to s1 on it; with a cut at the
-    # accepting states, s0 -b-> s1 -c-> s0 still makes one orbit
+    # accepting states, s0 -b-> s1 -c-> s0 still makes one orbit, whose
+    # gates are both states.  Its orbit language, the prefixes of (bc)*,
+    # is one orbit with no consistent symbol: not definable.
+    orbits = counted_orbit_languages(monkeypatch)
     machine = Automaton(
         ("a", "b", "c"), ("s0", "s1"), ["s0"], ["s0", "s1"],
         {("s0", "a"): ["s1"], ("s0", "b"): ["s1"], ("s1", "a"): ["s1"],
          ("s1", "c"): ["s0"]})
-    with caplog.at_level(logging.WARNING, logger="ponfa.dre"):
+    with caplog.at_level(logging.DEBUG):
         assert is_dre_definable(machine) is False
-    assert [record.getMessage() for record in caplog.records] == [
-        "strongly connected automaton with 2 states survives its cut; "
-        "deciding not definable"]
+    assert orbits == [[0, 1]]
+    assert caplog.records == []
+
+
+def test_one_orbit_language_per_orbit(monkeypatch):
+    # c(ab)*: the orbit {t, u} has the one gate t; its orbit language
+    # (ab)* is read from t alone, cut at t on a, and is definable
+    orbits = counted_orbit_languages(monkeypatch)
+    machine = Automaton(
+        ("a", "b", "c"), ("s", "t", "u"), ["s"], ["t"],
+        {("s", "c"): ["t"], ("t", "a"): ["u"], ("u", "b"): ["t"]})
+    assert is_dre_definable(machine) is True
+    assert len(orbits) == 1
 
 
 def orbit_faces(d):
@@ -89,16 +93,6 @@ def test_orbit_decomposition_shape():
                   for q in orbit) == list(range(4))
 
 
-def suffix_b(m):
-    """Σ*bΣ^m over {a, b}: the (m + 1)-th letter from the end is b."""
-    states = [f"q{i}" for i in range(m + 2)]
-    transitions = {("q0", "a"): ["q0"], ("q0", "b"): ["q0", "q1"]}
-    for i in range(1, m + 1):
-        for symbol in ("a", "b"):
-            transitions[(states[i], symbol)] = [states[i + 1]]
-    return Automaton(("a", "b"), states, ["q0"], [states[-1]], transitions)
-
-
 def random_nfa(rng):
     n_states = rng.randint(2, 6)
     alphabet = ("a", "b", "c")[:rng.randint(1, 3)]
@@ -112,8 +106,10 @@ def random_nfa(rng):
 
 
 def test_each_recursive_call_gets_a_smaller_automaton(monkeypatch):
-    # why the recursion needs no depth guard: nesting is bounded by the
-    # state count of the minimal DFA, a table of one row per state
+    # why the recursion needs no depth guard: every nested table has
+    # fewer states, or, after a cut that leaves one orbit, as many
+    # states and fewer moves, so (states, moves) falls in dictionary
+    # order at every level
     recurse = dre._definable
     sizes = []
     checked = 0
@@ -121,7 +117,7 @@ def test_each_recursive_call_gets_a_smaller_automaton(monkeypatch):
     def watched(d):
         nonlocal checked
         rows = () if d is None else d[0]
-        size = len(rows)
+        size = (len(rows), sum(t is not None for row in rows for t in row))
         if sizes:
             assert size < sizes[-1]
             checked += 1
@@ -139,6 +135,32 @@ def test_each_recursive_call_gets_a_smaller_automaton(monkeypatch):
     for machine in inputs:
         is_dre_definable(machine)
     assert checked >= 40
+
+
+def test_every_start_of_an_orbit_gives_one_verdict():
+    # the recursion reads each orbit language from the orbit's first
+    # state; every other start reaches the same states, so it minimizes
+    # to the same table with another start, and must decide the same
+    rng = random.Random(17)
+    tables = 0
+    verdicts = set()
+    while tables < 1000:
+        d = dre._trim(*ops._minimal_table(random_nfa(rng),
+                                          ops.DEFAULT_SUBSET_LIMIT))
+        if d is None:
+            continue
+        rows, accepting = d
+        faces = [(orbit, *dre._gates(rows, accepting, orbit))
+                 for orbit in core._proper_orbits(rows)]
+        faces = [(orbit, gates) for orbit, gates, agree in faces if agree]
+        tables += bool(faces)
+        for orbit, gates in faces:
+            found = {dre._definable(dre._orbit_language(
+                rows, orbit[i:] + orbit[:i], gates))
+                for i in range(len(orbit))}
+            assert len(found) == 1, (rows, accepting, orbit)
+            verdicts |= found
+    assert verdicts == {False, True}
 
 
 def test_every_table_read_is_reachable_from_its_start(monkeypatch):
@@ -288,26 +310,25 @@ def test_random_ordered_machines_are_definable():
         checked += 1
 
 
-def test_definable_and_uncut_counts_on_random_automata(caplog):
-    # how many of 600 seeded inputs are definable, and how many reach a
-    # strongly connected automaton that survives a cut: a change to
-    # the recursion's order or to the cut moves one of the two
+def test_definable_and_orbit_language_counts_on_random_automata(
+        monkeypatch):
+    # how many of 600 seeded inputs are definable, and how many orbit
+    # languages their decisions build: a change to the recursion's
+    # order, to the cut or to the one start per orbit moves one of the two
+    orbits = counted_orbit_languages(monkeypatch)
     rng = random.Random(2026)
     definable = 0
-    with caplog.at_level(logging.WARNING, logger="ponfa.dre"):
-        for _ in range(600):
-            n_states = rng.randint(2, 7)
-            alphabet = ("a", "b", "c")[:rng.randint(1, 3)]
-            states = [f"s{i}" for i in range(n_states)]
-            machine = Automaton(
-                alphabet, states, rng.sample(states, rng.randint(1, 2)),
-                rng.sample(states, rng.randint(0, n_states)),
-                {(q, symbol): rng.sample(states, rng.randint(0, 2))
-                 for q in states for symbol in alphabet})
-            definable += is_dre_definable(machine)
-    uncut = [record for record in caplog.records
-             if "survives its cut" in record.getMessage()]
-    assert (definable, len(uncut)) == (443, 6)
+    for _ in range(600):
+        n_states = rng.randint(2, 7)
+        alphabet = ("a", "b", "c")[:rng.randint(1, 3)]
+        states = [f"s{i}" for i in range(n_states)]
+        machine = Automaton(
+            alphabet, states, rng.sample(states, rng.randint(1, 2)),
+            rng.sample(states, rng.randint(0, n_states)),
+            {(q, symbol): rng.sample(states, rng.randint(0, 2))
+             for q in states for symbol in alphabet})
+        definable += is_dre_definable(machine)
+    assert (definable, len(orbits)) == (443, 81)
 
 
 def test_deterministic_glushkov_expressions_are_dre_definable():

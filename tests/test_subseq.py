@@ -10,12 +10,8 @@ from ponfa.subseq import (_read, class_dfa, class_search,
                           enumerate_minimal_representatives,
                           max_representative_length, representative, sub_k)
 
+from automata import all_words
 from oracles import is_minimal_representative, rk_signature, sim_k, sim_rk
-
-
-def all_words(alphabet, max_len):
-    for size in range(max_len + 1):
-        yield from itertools.product(alphabet, repeat=size)
 
 
 def brute_subsequences(word, k):
@@ -46,7 +42,7 @@ def test_negative_bound_is_rejected_everywhere():
     a = build_a(1, 1)
     calls = [
         lambda: representative(("a",), -1),
-        lambda: class_search(a, -1, lambda here, there: False, 100),
+        lambda: class_search(a, -1, 100),
         lambda: list(enumerate_minimal_representatives(("a",), -1, 2)),
         lambda: class_dfa((), -1, ("a",)),
     ]

@@ -16,19 +16,8 @@ from ponfa.triviality import (RExpression, TrivialityVerdict, is_k_r_trivial,
                               r_expression_to_automaton,
                               rponfa_to_r_expressions)
 
+from automata import loop_plus
 from oracles import is_minimal_representative, sim_rk
-
-
-def loop_plus():
-    # words ending in a after stripping trailing b-blocks: b*a(b*a)*
-    return Automaton(
-        ("a", "b"),
-        ("p", "q"),
-        ["p"],
-        ["q"],
-        {("p", "b"): ["p"], ("p", "a"): ["q"],
-         ("q", "b"): ["p"], ("q", "a"): ["q"]},
-    )
 
 
 def random_rponfa(rng, n_states, alphabet):

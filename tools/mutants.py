@@ -24,14 +24,17 @@ so a ``|`` in ``int | None`` would only make an equivalent mutant.
 
 Each mutant runs the tier-1 tests of the copy, stopping at the first
 failure, and prints one line: ``killed``, ``survived`` or ``timeout``,
-the file and line of the original source, and the mutation.  A mutant
-whose tests run past ``TIMEOUT_S`` seconds is stopped and reported as
-``timeout``: it may hang a search, or only be slow, so it is neither
-killed nor survived.  The tests run with their address space capped at
-``MEMORY_CAP`` bytes, so a mutant that grows a list without end fails
-them with ``MemoryError`` instead of taking the host's memory.  The script is a tool, not a gate: its exit
-status is 0 whatever survives.  It needs only the standard library and
-pytest.
+the file and line of the original source, and the mutation.  The
+unmutated copy runs first, within ``TIMEOUT_S`` seconds, and each
+mutant gets ``SLOWDOWN`` times that run's time plus ``GRACE_S``
+seconds, a limit printed once before the first mutant.  A mutant whose
+tests run past it is stopped and reported as ``timeout``: it may hang a
+search, or only be slow, so it is neither killed nor survived.  The
+tests run with their address space capped at ``MEMORY_CAP`` bytes, so a
+mutant that grows a list without end fails them with ``MemoryError``
+instead of taking the host's memory.  The script is a tool, not a gate:
+its exit status is 0 whatever survives.  It needs only the standard
+library and pytest.
 """
 
 from __future__ import annotations
@@ -44,13 +47,16 @@ import resource
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SITES = 20
-# tier-1 takes under 20 s; a mutant that stops a search from ending
-# must not hang the run
+# the unmutated run's limit; a mutant's follows from that run's time,
+# so that one which stops a search from ending costs little
 TIMEOUT_S = 300
+SLOWDOWN = 3
+GRACE_S = 30
 MEMORY_CAP = 2 << 30
 
 SWAPS = {ast.Eq: ast.NotEq, ast.NotEq: ast.Eq, ast.Lt: ast.LtE,
@@ -133,9 +139,9 @@ def cap_memory() -> None:
     resource.setrlimit(resource.RLIMIT_AS, (MEMORY_CAP, MEMORY_CAP))
 
 
-def run_tests(copy: Path) -> str:
+def run_tests(copy: Path, limit: float) -> str:
     """``survived`` when the tier-1 tests of the copy pass, ``killed``
-    when one fails and ``timeout`` when they run past ``TIMEOUT_S``."""
+    when one fails and ``timeout`` when they run past ``limit`` seconds."""
     env = dict(os.environ, PYTHONPATH=str(copy / "src"),
                PYTHONDONTWRITEBYTECODE="1")
     try:
@@ -143,7 +149,7 @@ def run_tests(copy: Path) -> str:
             [sys.executable, "-m", "pytest", "-q", "-x", "-W", "error",
              "-p", "no:cacheprovider", "tests"],
             cwd=copy, env=env, stdout=subprocess.DEVNULL,
-            stderr=subprocess.DEVNULL, timeout=TIMEOUT_S,
+            stderr=subprocess.DEVNULL, timeout=limit,
             preexec_fn=cap_memory)
     except subprocess.TimeoutExpired:
         return "timeout"
@@ -163,8 +169,11 @@ def main(argv: list[str] | None = None) -> int:
     # the tests read files beside them, such as the README
     shutil.copytree(ROOT, copy, ignore=shutil.ignore_patterns(
         ".git", "__pycache__", ".pytest_cache"))
-    if run_tests(copy) != "survived":
+    began = time.monotonic()
+    if run_tests(copy, TIMEOUT_S) != "survived":
         sys.exit("error: the unmutated copy fails its tests")
+    limit = SLOWDOWN * (time.monotonic() - began) + GRACE_S
+    print(f"time limit per mutant: {limit:.0f} s", flush=True)
     rng = random.Random(args.seed)
     for module, first, last in args.modules:
         path = copy / module
@@ -177,7 +186,7 @@ def main(argv: list[str] | None = None) -> int:
             mutate(tree, target, operand)
             path.write_text(ast.unparse(tree), encoding="utf-8")
             try:
-                verdict = run_tests(copy)
+                verdict = run_tests(copy, limit)
             finally:
                 path.write_text(source, encoding="utf-8")
             print(f"{verdict:8} {module}:{line}  {what}", flush=True)
